@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Experiments: table1..table4, fig3..fig12, topology, policies, dedup,
-//! dividing, writeback, prefetch. `all` runs everything (EXPERIMENTS.md
-//! is produced from this output). Scale 1.0 reproduces the full two-year
+//! dividing, writeback, prefetch. `all` runs everything; `list` names
+//! them (see the README's "Reproducing the paper" section). Scale 1.0 reproduces the full two-year
 //! trace volume (~3.5 M references); the default 0.05 keeps runtime and
 //! memory modest while preserving every distribution's shape.
 //!
@@ -1057,7 +1057,7 @@ fn indent_json(json: &str) -> String {
 /// `repro service-smoke`: boot the real `fmig-origin` / `fmig-served` /
 /// `fmig-loadgen` binaries over loopback, replay the tiny-preset cell
 /// healthy and degraded-peak, and hold the live service to the
-/// simulator oracle (exact miss counters, p99 wait within ±15%). The
+/// simulator oracle (exact miss counters and p99 wait). The
 /// healthy run's throughput is recorded as `service_refs_per_sec` in
 /// the benchmark artifact (report-only; not gated).
 fn run_service_smoke_command(args: &[String]) -> Result<(), String> {

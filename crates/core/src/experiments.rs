@@ -2,8 +2,8 @@
 //! plus the §6 design-implication studies.
 //!
 //! Every experiment renders a text report and a set of paper-vs-measured
-//! [`Comparison`] rows; `repro <id>` prints them and EXPERIMENTS.md
-//! records them. Absolute magnitudes depend on the synthetic substrate,
+//! [`Comparison`] rows; `repro <id>` prints them (the README's
+//! "Reproducing the paper" section shows how). Absolute magnitudes depend on the synthetic substrate,
 //! so the comparisons focus on the *shape* claims the paper actually
 //! makes (shares, ratios, crossover points, orderings).
 

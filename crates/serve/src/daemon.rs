@@ -3,7 +3,8 @@
 //! Owns a policy-driven [`ShardedCache`] plus the *disk half* of the
 //! device model — MSCP dispatch, spindles, channel movers, stall-flush
 //! gates — and schedules every miss as a recall against the origin
-//! server, which owns the tape half ([`crate::origin`]). The two halves
+//! server, which hosts the tape core ([`crate::origin`],
+//! [`fmig_sim::tape`]). The two halves
 //! stay causally consistent through a watermark protocol: before the
 //! daemon processes anything at virtual time `t` it advances the origin
 //! to `t` and applies every tape event the origin emitted up to `t`.

@@ -7,12 +7,11 @@
 //!   miss as a recall against the origin. Its robustness core wraps each
 //!   recall in a deadline, a jittered-exponential-backoff retry budget
 //!   ([`backoff`]), and an origin circuit breaker ([`breaker`]).
-//! * **`fmig-origin`** ([`origin`], [`tape`]) — the "tape" server. It
-//!   replays the tape half of the device model (drives, robot arms,
-//!   operators, seeks, cartridge appends, unloads) with the same
-//!   per-tier latency distributions the simulator uses, and its chaos
-//!   mode materializes a `FaultScenarioId` into live outages, media read
-//!   errors, and slow-drive windows.
+//! * **`fmig-origin`** ([`origin`]) — the "tape" server. It hosts
+//!   [`fmig_sim::tape`], the one tape-path engine (drives, robot arms,
+//!   operators, seeks, cartridge appends, unloads) that the simulators
+//!   host too, and its chaos mode materializes a `FaultScenarioId` into
+//!   live outages, media read errors, and slow-drive windows.
 //! * **`fmig-loadgen`** ([`loadgen`]) — replays a prepared trace at a
 //!   configurable rate from N concurrent connections and reports a wait
 //!   histogram compatible with the analysis pipeline.
@@ -24,11 +23,11 @@
 //! [`fmig_sim::HierarchySimulator`] uses, and every stochastic stage
 //! delay is a keyed draw from [`fmig_sim::noise`] — a pure function of
 //! (seed, job identity, stage). A live replay of a trace therefore
-//! reproduces the counter-noise simulator's cache decisions **exactly**
-//! (same miss ratio, same eviction stream, same retry counters) and its
-//! wait distributions up to event tie-ordering, which is what lets
-//! `repro service-smoke` assert measured p99 against the simulator's
-//! prediction within ±15% in both healthy and degraded-peak runs. See
+//! reproduces the counter-noise simulator **exactly**: the same cache
+//! decisions, retry and outage counters, and read-wait distribution,
+//! which is what lets `repro service-smoke` assert measured p99 equal
+//! to the simulator's prediction in both healthy and degraded-peak
+//! runs. See
 //! `docs/architecture.md` ("Live service") for the topology and the
 //! degradation order.
 
@@ -41,6 +40,5 @@ pub mod loadgen;
 pub mod origin;
 pub mod protocol;
 pub mod smoke;
-pub mod tape;
 
 pub use protocol::{Frame, ProtoError, ServiceStats, PROTO_VERSION};

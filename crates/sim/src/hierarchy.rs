@@ -35,7 +35,8 @@
 //!
 //! Foreground references pay a lognormal MSCP dispatch overhead, then:
 //! hits and writes queue on their file's spindle and a channel mover
-//! (plus the disk seek); misses dispatch a recall into the tape path.
+//! (plus the disk seek); misses dispatch a recall into the tape path,
+//! [`crate::tape`], which this engine hosts alongside its disk path.
 //! Delayed hits skip dispatch — they join an already-dispatched recall
 //! whose catalog work is done — and reach their first byte at
 //! `max(arrival, recall first byte)`, which bounds their wait by the
@@ -45,9 +46,10 @@
 //!
 //! # Determinism
 //!
-//! One thread, one seeded RNG, an insertion-stable event queue, and the
-//! cache's total eviction order: equal seeds replay identically, which
-//! is what lets sweep reports stay byte-identical at any worker count.
+//! One thread, one seeded draw source, one insertion-stable event queue
+//! shared with the tape path, and the cache's total eviction order:
+//! equal seeds replay identically, which is what lets sweep reports
+//! stay byte-identical at any worker count.
 
 use fmig_migrate::cache::{CacheConfig, CacheOp, CacheStats, DiskCache, ReadResult};
 use fmig_migrate::eval::{
@@ -56,16 +58,15 @@ use fmig_migrate::eval::{
 use fmig_migrate::feedback::LatencyFeedback;
 use fmig_migrate::policy::MigrationPolicy;
 use fmig_trace::{DeviceClass, FileId};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
 use crate::event::{EventQueue, SimMs, MS};
-use crate::fault::{FaultPlan, FaultSchedule, FaultTarget};
+use crate::fault::{FaultPlan, FaultSchedule};
 use crate::metrics::{LatencyHistogram, Utilisation};
+use crate::noise::{Draws, Subject, STAGE_DISPATCH, STAGE_RATE};
 use crate::pool::Pool;
-use crate::sim::standard_normal;
+use crate::tape::{TapeCore, TapeEvent, TapeHost, TapeJob, TapeTier};
 
 pub use crate::fault::FAULT_HORIZON_SLACK_MS;
 
@@ -330,72 +331,24 @@ impl HierarchySimulator {
     }
 }
 
-/// Events of the closed-loop engine. `usize` payloads are indices into
-/// the engine's job table except for `Dispatch`, which names a
-/// reference, and `OutageStart`, which names a fault-schedule window.
+/// Events of the closed-loop engine. `usize` payloads name references.
 #[derive(Debug, Clone, Copy)]
 enum HEv {
     /// MSCP overhead elapsed for a foreground reference.
     Dispatch(usize),
-    /// A flush job's write-behind batching delay elapsed; join the tape
-    /// drive queue.
-    FlushReady(usize),
-    /// Media mount finished.
-    MountDone(usize),
-    /// Tape positioned at the data (or at start-of-tape for appends).
-    SeekDone(usize),
-    /// Data transfer finished.
-    TransferDone(usize),
-    /// Tape drive finished unloading.
-    DriveFree(usize),
-    /// A fault-schedule outage window opens: park one unit of its pool.
-    OutageStart(usize),
-    /// An outage hold's repair finished: return the parked unit.
-    OutageEnd(usize),
-    /// A failed recall's retry backoff elapsed; rejoin the drive queue.
-    RetryReady(usize),
+    /// A reference's disk transfer finished.
+    DiskDone(usize),
+    /// A tape-path event.
+    Tape(TapeEvent),
 }
 
-/// A unit of device work: foreground disk service, a tape recall, a
-/// background tape flush, or a fault-injection hold parking a unit.
+/// What a tape job does for the closed loop.
 #[derive(Debug, Clone, Copy)]
-struct Job {
-    kind: JobKind,
-    /// Device the job runs on: `Disk` for foreground service, else the
-    /// tape tier.
-    device: DeviceClass,
-    write: bool,
-    size: u64,
-    spindle: usize,
-    /// When the job entered its device queue (flush contention and
-    /// outage-attribution metrics).
-    queued_ms: SimMs,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum JobKind {
-    /// Foreground disk service for reference `r` (hit or write).
-    Disk { r: usize },
+enum TapeWork {
     /// Tape recall for `file`, issued by reference `r`.
-    Recall {
-        file: FileId,
-        r: usize,
-        /// Recall sequence number (the fault schedule's read-error
-        /// counter).
-        seq: u64,
-        /// Failed attempts so far; bounded by the plan's retry budget.
-        attempt: u32,
-        /// This attempt was chosen to fail at its first byte; set at
-        /// transfer start, consumed and cleared at transfer end.
-        failing: bool,
-    },
-    /// Background tape flush; `gated` is the reference stalled on it,
-    /// `seq` the flush's spawn-order sequence number (the identity its
-    /// counter-noise timing draws are keyed by).
-    Flush { gated: Option<usize>, seq: u64 },
-    /// Fault injection: hold one unit of `target`'s pool until `end_ms`
-    /// (a failed drive, a robot under repair, an operator off shift).
-    OutageHold { target: FaultTarget, end_ms: SimMs },
+    Recall { file: FileId, r: usize },
+    /// Background tape flush; `gated` is the reference stalled on it.
+    Flush { gated: Option<usize> },
 }
 
 /// Per-reference progress state.
@@ -407,7 +360,8 @@ struct RefState {
     size: u64,
     write: bool,
     served: ServedBy,
-    device: DeviceClass,
+    /// The file's tape tier.
+    tape: TapeTier,
     done: bool,
     /// Stall flushes that must land on tape before disk service starts.
     gate: u32,
@@ -420,6 +374,16 @@ struct RefState {
     recall_seq: u64,
 }
 
+impl RefState {
+    /// Disk for hits and writes, the recall's tape tier otherwise.
+    fn device(&self) -> DeviceClass {
+        match self.served {
+            ServedBy::DiskHit | ServedBy::DiskWrite => DeviceClass::Disk,
+            ServedBy::DelayedHit | ServedBy::Recall => self.tape.device(),
+        }
+    }
+}
+
 /// An in-flight recall that references may coalesce onto.
 #[derive(Debug, Default)]
 struct OutstandingRecall {
@@ -428,25 +392,27 @@ struct OutstandingRecall {
 }
 
 struct Engine<'a, 'p> {
+    tape: TapeCore<TapeWork>,
+    host: Host<'a, 'p>,
+}
+
+/// Everything but the tape path: the cache, the MSCP, the disk path,
+/// and recall coalescing.
+struct Host<'a, 'p> {
     cfg: &'a SimConfig,
     cache: DiskCache<'p>,
-    rng: SmallRng,
+    draws: Draws,
     queue: EventQueue<HEv>,
-    /// The materialized fault schedule; inert on fault-free runs, where
-    /// it injects no events and decides no failures.
-    schedule: FaultSchedule,
-    /// Degraded-mode accumulator; `Some` exactly when the schedule is
-    /// active.
-    fault: Option<DegradedOutcome>,
+    /// The fault plan's backoff before a failed recall rejoins.
+    retry_backoff_ms: SimMs,
     states: Vec<RefState>,
-    jobs: Vec<Job>,
     /// Recalls in flight (only with coalescing on): a dense arena
     /// indexed by [`FileId`], grown on demand — `Some` exactly while a
     /// recall for that file is outstanding.
     outstanding: Vec<Option<OutstandingRecall>>,
     /// Each file's tape tier, from the trace's device annotations, in
     /// the same [`FileId`]-indexed arena layout.
-    file_tape: Vec<Option<DeviceClass>>,
+    file_tape: Vec<Option<TapeTier>>,
     /// Live miss-latency estimator: fed by every resolved recall,
     /// consulted (via the cache's hint) before every reference.
     feedback: LatencyFeedback,
@@ -456,14 +422,7 @@ struct Engine<'a, 'p> {
     next_recall_seq: u64,
     next_emit: usize,
     spindles: Vec<Pool>,
-    silo: Pool,
-    manual: Pool,
-    robot: Pool,
-    operators: Pool,
     movers: Pool,
-    tape_movers: Pool,
-    /// Bytes left on the mounted append cartridge `[silo, manual]`.
-    cart_remaining: [u64; 2],
     metrics: HierarchyMetrics,
     first_ms: SimMs,
     last_ms: SimMs,
@@ -476,15 +435,13 @@ impl<'a, 'p> Engine<'a, 'p> {
         policy: &'p dyn MigrationPolicy,
         schedule: FaultSchedule,
     ) -> Self {
-        Engine {
+        let mut host = Host {
             cfg,
             cache: DiskCache::new(cache_cfg, policy),
-            rng: SmallRng::seed_from_u64(cfg.seed),
+            draws: Draws::new(cfg.seed, cfg.counter_noise),
             queue: EventQueue::new(),
-            fault: schedule.is_active().then(DegradedOutcome::default),
-            schedule,
+            retry_backoff_ms: schedule.retry_backoff_ms(),
             states: Vec::new(),
-            jobs: Vec::new(),
             outstanding: Vec::new(),
             file_tape: Vec::new(),
             feedback: LatencyFeedback::new(),
@@ -492,118 +449,90 @@ impl<'a, 'p> Engine<'a, 'p> {
             next_recall_seq: 0,
             next_emit: 0,
             spindles: vec![Pool::new(1); cfg.disk_spindles.max(1)],
-            silo: Pool::new(cfg.silo_drives),
-            manual: Pool::new(cfg.manual_drives),
-            robot: Pool::new(cfg.robot_arms),
-            operators: Pool::new(cfg.operators),
             movers: Pool::new(cfg.movers),
-            tape_movers: Pool::new(cfg.tape_movers),
-            cart_remaining: [0, 0],
             metrics: HierarchyMetrics::new(),
             first_ms: SimMs::MAX,
             last_ms: SimMs::MIN,
-        }
+        };
+        // Fault windows become ordinary events in the same queue: an
+        // inert schedule pushes nothing and the event stream is exactly
+        // the fault-free engine's.
+        let tape = TapeCore::new(cfg, schedule, &mut host);
+        Engine { tape, host }
     }
 
     fn run(mut self, refs: &[PreparedRef], mut sink: impl FnMut(RefOutcome)) -> HierarchyMetrics {
-        // Fault windows become ordinary events in the same queue: an
-        // inert schedule pushes nothing and the event stream is exactly
-        // the pre-fault engine's.
-        for w in 0..self.schedule.windows().len() {
-            self.queue
-                .push(self.schedule.windows()[w].start_ms, HEv::OutageStart(w));
-        }
         let mut prev_ms = SimMs::MIN;
         for (i, pr) in refs.iter().enumerate() {
             let t_ms = pr.time * MS;
             assert!(t_ms >= prev_ms, "references must be sorted by time");
             prev_ms = t_ms;
-            self.first_ms = self.first_ms.min(t_ms);
-            while self.queue.peek_time().is_some_and(|t| t <= t_ms) {
-                let (now, ev) = self.queue.pop().expect("peeked event");
+            self.host.first_ms = self.host.first_ms.min(t_ms);
+            while self.host.queue.peek_time().is_some_and(|t| t <= t_ms) {
+                let (now, ev) = self.host.queue.pop().expect("peeked event");
                 self.handle(now, ev);
             }
             self.arrive(i, pr, t_ms);
-            self.emit_finished(&mut sink);
+            self.host.emit_finished(&mut sink);
         }
-        while let Some((now, ev)) = self.queue.pop() {
+        while let Some((now, ev)) = self.host.queue.pop() {
             self.handle(now, ev);
         }
-        self.emit_finished(&mut sink);
-        debug_assert_eq!(self.next_emit, self.states.len());
+        let Engine { tape, host: mut h } = self;
+        h.emit_finished(&mut sink);
+        debug_assert_eq!(h.next_emit, h.states.len());
 
-        self.metrics.requests = self.states.len() as u64;
-        self.metrics.cache = *self.cache.stats();
-        self.metrics.cache_fetch_retries = self.cache.fetch_retries();
-        self.metrics.latency_feedback = self.feedback.clone();
-        self.metrics.fault = self.fault;
-        let span = (
-            self.first_ms.min(self.last_ms),
-            self.last_ms.max(self.first_ms),
-        );
-        self.metrics.utilisation.disk_spindles = self
-            .spindles
-            .iter()
-            .map(|p| p.utilisation(span.0, span.1))
-            .sum();
-        self.metrics.utilisation.silo_drives = self.silo.utilisation(span.0, span.1);
-        self.metrics.utilisation.manual_drives = self.manual.utilisation(span.0, span.1);
-        self.metrics.utilisation.robot_arms = self.robot.utilisation(span.0, span.1);
-        self.metrics.utilisation.operators = self.operators.utilisation(span.0, span.1);
-        self.metrics.utilisation.movers =
-            self.movers.utilisation(span.0, span.1) + self.tape_movers.utilisation(span.0, span.1);
-        self.metrics
-    }
-
-    /// Emits every resolved reference, in arrival order.
-    fn emit_finished(&mut self, sink: &mut impl FnMut(RefOutcome)) {
-        while self.next_emit < self.states.len() && self.states[self.next_emit].done {
-            let st = self.states[self.next_emit];
-            sink(RefOutcome {
-                index: self.next_emit,
-                id: st.id,
-                write: st.write,
-                served: st.served,
-                device: st.device,
-                wait_s: (st.first_byte_ms - st.arrival_ms).max(0) as f64 / MS as f64,
-            });
-            self.next_emit += 1;
-        }
+        let m = &mut h.metrics;
+        m.requests = h.states.len() as u64;
+        m.cache = *h.cache.stats();
+        m.cache_fetch_retries = h.cache.fetch_retries();
+        m.latency_feedback = h.feedback;
+        m.fault = tape.schedule().is_active().then(|| tape.degraded());
+        m.flush_queue_wait = tape.write_queue_wait().clone();
+        let (start, end) = (h.first_ms.min(h.last_ms), h.last_ms.max(h.first_ms));
+        m.utilisation = tape.utilisation(start, end);
+        m.utilisation.disk_spindles = h.spindles.iter().map(|p| p.utilisation(start, end)).sum();
+        m.utilisation.movers += h.movers.utilisation(start, end);
+        h.metrics
     }
 
     /// Classifies one reference through the cache and turns its side
     /// effects into device traffic.
     fn arrive(&mut self, i: usize, pr: &PreparedRef, t_ms: SimMs) {
-        let tape = tape_of(pr.device);
-        if pr.id.index() >= self.file_tape.len() {
-            self.file_tape.resize(pr.id.index() + 1, None);
-            self.outstanding.resize_with(self.file_tape.len(), || None);
+        let h = &mut self.host;
+        // A file's archival tier: shelf files restage from the shelf,
+        // everything else (including files the trace saw on disk) lives
+        // in the silo.
+        let tape = TapeTier::of(pr.device).unwrap_or(TapeTier::Silo);
+        if pr.id.index() >= h.file_tape.len() {
+            h.file_tape.resize(pr.id.index() + 1, None);
+            h.outstanding.resize_with(h.file_tape.len(), || None);
         }
-        self.file_tape[pr.id.index()] = Some(tape);
+        h.file_tape[pr.id.index()] = Some(tape);
         // Publish the current miss-wait estimate for this file's tier
         // and size before the cache classifies the reference: the touch
         // stamps it onto the entry, where latency-aware policies read
         // it at the next purge. Latency-blind policies ignore the hint,
         // which keeps their closed loop exactly equal to open loop.
-        self.cache
-            .set_est_miss_wait_s(self.feedback.estimate(tape, pr.size));
-        let mut ops = std::mem::take(&mut self.ops);
+        h.cache
+            .set_est_miss_wait_s(h.feedback.estimate(tape.device(), pr.size));
+        let mut ops = std::mem::take(&mut h.ops);
         ops.clear();
         let served = if pr.write {
-            self.cache
+            h.cache
                 .write_with(pr.id, pr.size, pr.time, pr.next_use, &mut |op| ops.push(op));
             ServedBy::DiskWrite
         } else {
-            match self
+            match h
                 .cache
                 .read_with(pr.id, pr.size, pr.time, pr.next_use, &mut |op| ops.push(op))
             {
                 ReadResult::Hit => ServedBy::DiskHit,
-                ReadResult::DelayedHit if self.cfg.recall_coalescing => ServedBy::DelayedHit,
+                ReadResult::DelayedHit if h.cfg.recall_coalescing => ServedBy::DelayedHit,
                 // Coalescing off: a delayed hit pays its own fetch.
                 ReadResult::DelayedHit => ServedBy::Recall,
                 ReadResult::Miss
-                    if self.cfg.recall_coalescing && self.outstanding[pr.id.index()].is_some() =>
+                    if h.cfg.recall_coalescing && h.outstanding[pr.id.index()].is_some() =>
                 {
                     // The file was evicted (or bypassed the cache) while
                     // its recall is still in flight: the bytes are
@@ -613,29 +542,25 @@ impl<'a, 'p> Engine<'a, 'p> {
                 ReadResult::Miss => ServedBy::Recall,
             }
         };
-        let device = match served {
-            ServedBy::DiskHit | ServedBy::DiskWrite => DeviceClass::Disk,
-            ServedBy::DelayedHit | ServedBy::Recall => tape,
-        };
-        debug_assert_eq!(i, self.states.len());
+        debug_assert_eq!(i, h.states.len());
         // Counter-noise mode fixes the recall's identity here, in
         // arrival order — classification order is what a distributed
         // replica can reproduce; legacy dispatch order depends on the
         // lognormal overhead draws.
-        let recall_seq = if self.cfg.counter_noise && served == ServedBy::Recall {
-            self.next_recall_seq += 1;
-            self.next_recall_seq - 1
+        let recall_seq = if h.cfg.counter_noise && served == ServedBy::Recall {
+            h.next_recall_seq += 1;
+            h.next_recall_seq - 1
         } else {
             0
         };
-        self.states.push(RefState {
+        h.states.push(RefState {
             arrival_ms: t_ms,
             first_byte_ms: t_ms,
             id: pr.id,
             size: pr.size,
             write: pr.write,
             served,
-            device,
+            tape,
             done: false,
             gate: 0,
             ready: false,
@@ -647,14 +572,14 @@ impl<'a, 'p> Engine<'a, 'p> {
             match op {
                 CacheOp::Fetch { .. } | CacheOp::Drop { .. } => {}
                 CacheOp::Writeback { id, bytes } => {
-                    let at = t_ms + (self.cfg.writeback_delay_s * MS as f64) as SimMs;
+                    let at = t_ms + (self.host.cfg.writeback_delay_s * MS as f64) as SimMs;
                     self.spawn_flush(id, bytes, None, at);
                 }
                 CacheOp::StallFlush { id, bytes } => {
                     // Only disk-served foregrounds stall on the flush; a
                     // miss's recall is the longer pole and proceeds.
                     let gated = if served == ServedBy::DiskWrite || served == ServedBy::DiskHit {
-                        self.states[i].gate += 1;
+                        self.host.states[i].gate += 1;
                         Some(i)
                     } else {
                         None
@@ -666,618 +591,242 @@ impl<'a, 'p> Engine<'a, 'p> {
                 }
             }
         }
-        self.ops = ops;
+        let h = &mut self.host;
+        h.ops = ops;
 
         match served {
             ServedBy::DiskHit | ServedBy::DiskWrite | ServedBy::Recall => {
-                let d = if self.cfg.counter_noise {
-                    crate::noise::lognormal_ms(
-                        self.cfg.seed,
-                        crate::noise::dispatch_key(i as u64),
-                        self.cfg.mscp_overhead_median_s,
-                        self.cfg.mscp_overhead_sigma,
-                    )
-                } else {
-                    self.lognormal_ms(
-                        self.cfg.mscp_overhead_median_s,
-                        self.cfg.mscp_overhead_sigma,
-                    )
-                };
-                self.queue.push(t_ms + d, HEv::Dispatch(i));
-                if served == ServedBy::Recall && self.cfg.recall_coalescing {
-                    self.outstanding[pr.id.index()] = Some(OutstandingRecall::default());
+                let d = h.draws.lognormal_ms(
+                    Subject::Ref(i as u64),
+                    STAGE_DISPATCH,
+                    h.cfg.mscp_overhead_median_s,
+                    h.cfg.mscp_overhead_sigma,
+                );
+                h.queue.push(t_ms + d, HEv::Dispatch(i));
+                if served == ServedBy::Recall && h.cfg.recall_coalescing {
+                    h.outstanding[pr.id.index()] = Some(OutstandingRecall::default());
                 }
             }
             ServedBy::DelayedHit => {
-                self.metrics.delayed_hits += 1;
-                let o = self.outstanding[pr.id.index()]
+                h.metrics.delayed_hits += 1;
+                let o = h.outstanding[pr.id.index()]
                     .as_mut()
                     .expect("delayed hit implies an outstanding recall");
                 match o.first_byte_ms {
                     // Data already streaming to disk: served on arrival.
-                    Some(fb) => self.resolve_ref(i, fb),
+                    Some(fb) => h.resolve_ref(i, fb),
                     None => o.waiters.push(i),
                 }
             }
         }
     }
 
-    /// Creates a background tape-flush job and schedules its queue entry.
+    /// Creates a background tape-flush job, queued for a drive at `at`.
     fn spawn_flush(&mut self, file: FileId, bytes: u64, gated: Option<usize>, at: SimMs) {
-        let tape = self
+        let h = &mut self.host;
+        let tier = h
             .file_tape
             .get(file.index())
             .copied()
             .flatten()
-            .unwrap_or(DeviceClass::TapeSilo);
-        let j = self.jobs.len();
-        self.jobs.push(Job {
-            kind: JobKind::Flush {
-                gated,
-                // Spawn order is classification order, which both the
-                // legacy engine and a trace-order replica agree on.
-                seq: self.metrics.flush_jobs,
-            },
-            device: tape,
-            write: true,
-            size: bytes,
-            spindle: 0,
-            queued_ms: at,
-        });
-        self.metrics.flush_jobs += 1;
-        self.metrics.flush_bytes += bytes;
-        self.queue.push(at, HEv::FlushReady(j));
+            .unwrap_or(TapeTier::Silo);
+        // Spawn order is classification order, which both the legacy
+        // engine and a trace-order replica agree on.
+        let seq = h.metrics.flush_jobs;
+        h.metrics.flush_jobs += 1;
+        h.metrics.flush_bytes += bytes;
+        let job = TapeJob::new(TapeWork::Flush { gated }, tier, true, bytes, seq);
+        self.tape.admit_at(job, at, h);
     }
 
     fn handle(&mut self, now: SimMs, ev: HEv) {
-        self.last_ms = self.last_ms.max(now);
+        let h = &mut self.host;
+        h.last_ms = h.last_ms.max(now);
         match ev {
             HEv::Dispatch(r) => self.dispatched(r, now),
-            HEv::FlushReady(j) => {
-                self.jobs[j].queued_ms = now;
-                self.join_tape_queue(j, now);
-            }
-            HEv::MountDone(j) => self.mount_done(j, now),
-            HEv::SeekDone(j) => self.seek_done(j, now),
-            HEv::TransferDone(j) => self.transfer_done(j, now),
-            HEv::DriveFree(j) => self.drive_free(j, now),
-            HEv::OutageStart(w) => self.outage_start(w, now),
-            HEv::OutageEnd(j) => self.outage_release(j, now),
-            HEv::RetryReady(j) => {
-                self.jobs[j].queued_ms = now;
-                self.join_tape_queue(j, now);
-            }
-        }
-    }
-
-    /// A fault window opens: contend for one unit of the target pool
-    /// like any other job. If the pool is saturated the hold queues —
-    /// the unit "fails" as it comes free, which is how a busy drive
-    /// dies mid-shift.
-    fn outage_start(&mut self, w: usize, now: SimMs) {
-        let window = self.schedule.windows()[w];
-        let j = self.jobs.len();
-        self.jobs.push(Job {
-            kind: JobKind::OutageHold {
-                target: window.target,
-                end_ms: window.end_ms,
-            },
-            device: window.target.tier(),
-            write: false,
-            size: 0,
-            spindle: 0,
-            queued_ms: now,
-        });
-        let granted = match window.target {
-            FaultTarget::SiloDrive => self.silo.acquire(j, now),
-            FaultTarget::ManualDrive => self.manual.acquire(j, now),
-            FaultTarget::RobotArm => self.robot.acquire(j, now),
-            FaultTarget::Operator => self.operators.acquire(j, now),
-        };
-        if granted {
-            self.outage_hold_granted(j, now);
-        }
-    }
-
-    /// A hold owns its unit: park it until the window's repair time, or
-    /// hand it straight back when the window already elapsed while the
-    /// hold sat in the queue.
-    fn outage_hold_granted(&mut self, j: usize, now: SimMs) {
-        let JobKind::OutageHold { end_ms, .. } = self.jobs[j].kind else {
-            unreachable!("outage grant on a non-hold job");
-        };
-        if now >= end_ms {
-            self.outage_release(j, now);
-        } else {
-            if let Some(f) = &mut self.fault {
-                f.outage_events += 1;
-            }
-            self.queue.push(end_ms, HEv::OutageEnd(j));
-        }
-    }
-
-    /// Repair done (or the window expired in-queue): return the unit to
-    /// its pool and wake the next waiter through the normal grant path.
-    fn outage_release(&mut self, j: usize, now: SimMs) {
-        let JobKind::OutageHold { target, .. } = self.jobs[j].kind else {
-            unreachable!("outage release on a non-hold job");
-        };
-        match target {
-            FaultTarget::SiloDrive => {
-                if let Some(n) = self.silo.release(now) {
-                    self.drive_granted(n, now);
-                }
-            }
-            FaultTarget::ManualDrive => {
-                if let Some(n) = self.manual.release(now) {
-                    self.drive_granted(n, now);
-                }
-            }
-            FaultTarget::RobotArm => {
-                if let Some(n) = self.robot.release(now) {
-                    self.mount_started(n, now);
-                }
-            }
-            FaultTarget::Operator => {
-                if let Some(n) = self.operators.release(now) {
-                    self.mount_started(n, now);
-                }
-            }
+            HEv::DiskDone(r) => h.disk_done(r, now),
+            HEv::Tape(ev) => self.tape.handle(now, ev, h),
         }
     }
 
     /// MSCP work done: start disk service or issue the recall.
     fn dispatched(&mut self, r: usize, now: SimMs) {
-        match self.states[r].served {
+        let h = &mut self.host;
+        let st = h.states[r];
+        match st.served {
             ServedBy::DiskHit | ServedBy::DiskWrite => {
-                self.states[r].ready = true;
-                if self.states[r].gate == 0 {
-                    self.start_disk(r, now);
+                h.states[r].ready = true;
+                if st.gate == 0 {
+                    h.start_disk(r, now);
                 }
             }
             ServedBy::Recall => {
-                let (id, size, tape) = {
-                    let st = &self.states[r];
-                    (st.id, st.size, st.device)
+                // The issue-order sequence number keys the fault
+                // schedule's counter-based read-error decisions.
+                // Counter-noise mode pinned it at arrival; legacy issues
+                // it here, in dispatch order.
+                let seq = if h.cfg.counter_noise {
+                    st.recall_seq
+                } else {
+                    h.metrics.recalls
                 };
-                let j = self.jobs.len();
-                self.jobs.push(Job {
-                    kind: JobKind::Recall {
-                        file: id,
-                        r,
-                        // The issue-order sequence number keys the fault
-                        // schedule's counter-based read-error decisions.
-                        // Counter-noise mode pinned it at arrival;
-                        // legacy issues it here, in dispatch order.
-                        seq: if self.cfg.counter_noise {
-                            self.states[r].recall_seq
-                        } else {
-                            self.metrics.recalls
-                        },
-                        attempt: 0,
-                        failing: false,
-                    },
-                    device: tape,
-                    write: false,
-                    size,
-                    spindle: 0,
-                    queued_ms: now,
-                });
-                self.metrics.recalls += 1;
-                self.join_tape_queue(j, now);
+                h.metrics.recalls += 1;
+                let work = TapeWork::Recall { file: st.id, r };
+                let job = TapeJob::new(work, st.tape, false, st.size, seq);
+                self.tape.admit(job, now, h);
             }
             ServedBy::DelayedHit => unreachable!("delayed hits are never dispatched"),
+        }
+    }
+}
+
+impl Host<'_, '_> {
+    /// Emits every resolved reference, in arrival order.
+    fn emit_finished(&mut self, sink: &mut impl FnMut(RefOutcome)) {
+        while self.next_emit < self.states.len() && self.states[self.next_emit].done {
+            let st = self.states[self.next_emit];
+            sink(RefOutcome {
+                index: self.next_emit,
+                id: st.id,
+                write: st.write,
+                served: st.served,
+                device: st.device(),
+                wait_s: (st.first_byte_ms - st.arrival_ms).max(0) as f64 / MS as f64,
+            });
+            self.next_emit += 1;
         }
     }
 
     /// Foreground disk service: queue on the file's spindle.
     fn start_disk(&mut self, r: usize, now: SimMs) {
-        let (id, size, write) = {
-            let st = &self.states[r];
-            (st.id, st.size, st.write)
-        };
-        let j = self.jobs.len();
-        self.jobs.push(Job {
-            kind: JobKind::Disk { r },
-            device: DeviceClass::Disk,
-            write,
-            size,
-            spindle: id.index() % self.spindles.len(),
-            queued_ms: now,
-        });
-        let spindle = self.jobs[j].spindle;
-        if self.spindles[spindle].acquire(j, now) {
-            self.spindle_granted(j, now);
+        let spindle = self.states[r].id.index() % self.spindles.len();
+        if self.spindles[spindle].acquire(r, now) {
+            self.spindle_granted(r, now);
         }
     }
 
     /// Spindle held: contend for a channel mover.
-    fn spindle_granted(&mut self, j: usize, now: SimMs) {
-        if self.movers.acquire(j, now) {
-            self.mover_granted(j, now);
+    fn spindle_granted(&mut self, r: usize, now: SimMs) {
+        if self.movers.acquire(r, now) {
+            self.disk_transfer(r, now);
         }
     }
 
-    /// Stage 2 for tape jobs: queue on a drive of the job's tier.
-    ///
-    /// This and the following stages model the same hardware as
-    /// [`crate::sim`]'s open-loop engine and must use the same stage
-    /// timings (mount, seek, cartridge-append, unload); the request
-    /// models differ too much to share one engine — open-loop annotates
-    /// records, this one carries recall waiters and flush gates — so a
-    /// physics change there must be mirrored here.
-    fn join_tape_queue(&mut self, j: usize, now: SimMs) {
-        let granted = match self.jobs[j].device {
-            DeviceClass::TapeSilo => self.silo.acquire(j, now),
-            DeviceClass::TapeManual => self.manual.acquire(j, now),
-            DeviceClass::Disk => unreachable!("disk jobs do not queue on tape drives"),
-        };
-        if granted {
-            self.drive_granted(j, now);
-        }
-    }
-
-    /// Drive held: mount if needed, else go straight to a tape mover.
-    fn drive_granted(&mut self, j: usize, now: SimMs) {
-        let job = self.jobs[j];
-        if let JobKind::OutageHold { .. } = job.kind {
-            // A queued fault window finally got its unit.
-            self.outage_hold_granted(j, now);
-            return;
-        }
-        if let JobKind::Flush { .. } = job.kind {
-            self.metrics
-                .flush_queue_wait
-                .record((now - job.queued_ms).max(0) as f64 / MS as f64);
-        }
-        self.attribute_outage_wait(job.device, job.queued_ms, now);
-        if job.write {
-            let slot = cart_slot(job.device);
-            if self.cart_remaining[slot] >= job.size {
-                // Append to the mounted cartridge: no mount, no seek.
-                if self.tape_movers.acquire(j, now) {
-                    self.mover_granted(j, now);
-                }
-                return;
-            }
-        }
-        // Reads always mount the file's cartridge; writes mount a fresh
-        // append cartridge when the current one is full.
-        // Re-stamp the queue-entry time: the job now waits in the
-        // mounter queue, a separate outage-attribution interval.
-        self.jobs[j].queued_ms = now;
-        let granted = match job.device {
-            DeviceClass::TapeSilo => self.robot.acquire(j, now),
-            DeviceClass::TapeManual => self.operators.acquire(j, now),
-            DeviceClass::Disk => unreachable!(),
-        };
-        if granted {
-            self.mount_started(j, now);
-        }
-    }
-
-    /// Robot arm or operator engaged: schedule the mount completion.
-    fn mount_started(&mut self, j: usize, now: SimMs) {
-        if let JobKind::OutageHold { .. } = self.jobs[j].kind {
-            // A queued mounter-outage window finally got its unit.
-            self.outage_hold_granted(j, now);
-            return;
-        }
-        self.attribute_outage_wait(self.jobs[j].device, self.jobs[j].queued_ms, now);
-        let d = match (self.jobs[j].device, self.cfg.counter_noise) {
-            (DeviceClass::TapeSilo, false) => self.jitter_ms(self.cfg.robot_mount_s, 0.2),
-            (DeviceClass::TapeSilo, true) => crate::noise::jitter_ms(
-                self.cfg.seed,
-                self.noise_key(j, crate::noise::STAGE_MOUNT),
-                self.cfg.robot_mount_s,
-                0.2,
-            ),
-            (DeviceClass::TapeManual, false) => self.lognormal_ms(
-                self.cfg.operator_mount_median_s,
-                self.cfg.operator_mount_sigma,
-            ),
-            (DeviceClass::TapeManual, true) => crate::noise::lognormal_ms(
-                self.cfg.seed,
-                self.noise_key(j, crate::noise::STAGE_MOUNT),
-                self.cfg.operator_mount_median_s,
-                self.cfg.operator_mount_sigma,
-            ),
-            (DeviceClass::Disk, _) => unreachable!(),
-        };
-        self.queue.push(now + d, HEv::MountDone(j));
-    }
-
-    /// Adds the slice of a queue wait that overlapped an outage window
-    /// of the waiting job's tier to the degraded-mode accumulator.
-    fn attribute_outage_wait(&mut self, tier: DeviceClass, queued_ms: SimMs, now: SimMs) {
-        if let Some(f) = &mut self.fault {
-            let overlap = self.schedule.outage_overlap_ms(tier, queued_ms, now);
-            if overlap > 0 {
-                f.outage_wait_s += overlap as f64 / MS as f64;
-            }
-        }
-    }
-
-    /// Mount finished: hand the mounter over and position the tape.
-    fn mount_done(&mut self, j: usize, now: SimMs) {
-        let job = self.jobs[j];
-        let next = match job.device {
-            DeviceClass::TapeSilo => self.robot.release(now),
-            DeviceClass::TapeManual => self.operators.release(now),
-            DeviceClass::Disk => unreachable!(),
-        };
-        if let Some(n) = next {
-            self.mount_started(n, now);
-        }
-        if job.write {
-            // Fresh append cartridge: position to start of tape.
-            self.cart_remaining[cart_slot(job.device)] = self.cfg.cartridge_bytes;
-            let d = if self.cfg.counter_noise {
-                crate::noise::jitter_ms(
-                    self.cfg.seed,
-                    self.noise_key(j, crate::noise::STAGE_SEEK),
-                    3.0,
-                    0.3,
-                )
-            } else {
-                self.jitter_ms(3.0, 0.3)
-            };
-            self.queue.push(now + d, HEv::SeekDone(j));
-        } else {
-            let seek_s = if self.cfg.counter_noise {
-                crate::noise::range(
-                    self.cfg.seed,
-                    self.noise_key(j, crate::noise::STAGE_SEEK),
-                    self.cfg.tape_seek_min_s,
-                    self.cfg.tape_seek_max_s,
-                )
-            } else {
-                self.rng
-                    .gen_range(self.cfg.tape_seek_min_s..self.cfg.tape_seek_max_s)
-            };
-            self.queue
-                .push(now + (seek_s * MS as f64) as SimMs, HEv::SeekDone(j));
-        }
-    }
-
-    /// Positioned: wait for a tape mover.
-    fn seek_done(&mut self, j: usize, now: SimMs) {
-        if self.tape_movers.acquire(j, now) {
-            self.mover_granted(j, now);
-        }
-    }
-
-    /// The transfer begins — this is the job's first byte (unless this
-    /// recall attempt is fated to fail, in which case nobody is served
-    /// and the failure surfaces at transfer end).
-    fn mover_granted(&mut self, j: usize, now: SimMs) {
-        let job = self.jobs[j];
-        let setup_ms = if job.device == DeviceClass::Disk {
-            (self.cfg.disk_seek_s * MS as f64) as SimMs
-        } else {
-            0
-        };
-        let first_byte = now + setup_ms;
-        match job.kind {
-            JobKind::Disk { r } => self.resolve_ref(r, first_byte),
-            JobKind::Recall {
-                file,
-                r,
-                seq,
-                attempt,
-                ..
-            } => {
-                // The media read error is decided before anyone is
-                // served: a failing attempt reads the tape but delivers
-                // garbage, so the requester and every coalesced waiter
-                // stay parked for the retry.
-                if self.schedule.read_fails(seq, attempt) {
-                    let JobKind::Recall { failing, .. } = &mut self.jobs[j].kind else {
-                        unreachable!("job kind cannot change");
-                    };
-                    *failing = true;
-                } else {
-                    self.resolve_ref(r, first_byte);
-                    if let Some(o) = self.outstanding[file.index()].as_mut() {
-                        o.first_byte_ms = Some(first_byte);
-                        let waiters = std::mem::take(&mut o.waiters);
-                        for w in waiters {
-                            self.resolve_ref(w, first_byte);
-                        }
-                    }
-                }
-            }
-            JobKind::Flush { .. } => {}
-            JobKind::OutageHold { .. } => unreachable!("holds never reach a mover"),
-        }
-        // Slow-drive degradation scales the healthy rate; a factor of
-        // exactly 1.0 (no window, or no plan) leaves the arithmetic
-        // bit-identical to the fault-free engine.
-        let factor = self.schedule.rate_factor_at(job.device, first_byte);
-        if factor < 1.0 {
-            if let Some(f) = &mut self.fault {
-                f.slow_transfers += 1;
-            }
-        }
-        let rate = self.rate_of(job.device) * factor;
+    /// Mover held: the first byte follows the disk seek.
+    fn disk_transfer(&mut self, r: usize, now: SimMs) {
+        let first_byte = now + (self.cfg.disk_seek_s * MS as f64) as SimMs;
+        self.resolve_ref(r, first_byte);
         let jitter = 1.0
-            + if self.cfg.counter_noise {
-                crate::noise::range(
-                    self.cfg.seed,
-                    self.noise_key(j, crate::noise::STAGE_RATE),
-                    -self.cfg.rate_jitter,
-                    self.cfg.rate_jitter,
-                )
-            } else {
-                self.rng
-                    .gen_range(-self.cfg.rate_jitter..self.cfg.rate_jitter)
-            };
-        let xfer_ms = (job.size as f64 / (rate * jitter) * 1000.0) as SimMs;
+            + self.draws.range(
+                Subject::Disk(r as u64),
+                STAGE_RATE,
+                -self.cfg.rate_jitter,
+                self.cfg.rate_jitter,
+            );
+        let size = self.states[r].size;
+        let xfer_ms = (size as f64 / (self.cfg.disk_rate * jitter) * 1000.0) as SimMs;
         self.queue
-            .push(first_byte + xfer_ms.max(1), HEv::TransferDone(j));
-        if job.write && job.device != DeviceClass::Disk {
-            let slot = cart_slot(job.device);
-            self.cart_remaining[slot] = self.cart_remaining[slot].saturating_sub(job.size);
-        }
+            .push(first_byte + xfer_ms.max(1), HEv::DiskDone(r));
     }
 
-    /// Transfer complete: release the mover, then the device.
-    fn transfer_done(&mut self, j: usize, now: SimMs) {
-        let job = self.jobs[j];
-        let mover = if job.device == DeviceClass::Disk {
-            &mut self.movers
-        } else {
-            &mut self.tape_movers
-        };
-        if let Some(n) = mover.release(now) {
-            self.mover_granted(n, now);
+    /// Disk transfer complete: release the mover, then the spindle.
+    fn disk_done(&mut self, r: usize, now: SimMs) {
+        if let Some(n) = self.movers.release(now) {
+            self.disk_transfer(n, now);
         }
-        match job.kind {
-            JobKind::Disk { .. } => {
-                if let Some(n) = self.spindles[job.spindle].release(now) {
-                    self.spindle_granted(n, now);
-                }
-            }
-            JobKind::Recall {
-                file,
-                failing: attempt_failed,
-                ..
-            } => {
-                let d = (self.cfg.tape_unload_s * MS as f64) as SimMs;
-                if attempt_failed {
-                    // Media read error: the bytes on disk are garbage.
-                    // Re-arm the cache's outstanding-fetch state (reads
-                    // keep coalescing), release the drive, and rejoin
-                    // the queue after the backoff — waiters parked on
-                    // the outstanding recall ride along to the retry.
-                    self.cache.fetch_failed(file);
-                    if let Some(f) = &mut self.fault {
-                        f.read_retries += 1;
-                    }
-                    let JobKind::Recall {
-                        failing, attempt, ..
-                    } = &mut self.jobs[j].kind
-                    else {
-                        unreachable!("job kind cannot change");
-                    };
-                    *failing = false;
-                    *attempt += 1;
-                    self.queue.push(now + d, HEv::DriveFree(j));
-                    self.queue.push(
-                        now + d + self.schedule.retry_backoff_ms(),
-                        HEv::RetryReady(j),
-                    );
-                } else {
-                    // The file is fully staged: further reads are plain
-                    // hits.
-                    self.cache.fetch_complete(file);
-                    if let Some(o) = self.outstanding[file.index()].take() {
-                        debug_assert!(o.waiters.is_empty(), "waiters resolve at first byte");
-                    }
-                    self.queue.push(now + d, HEv::DriveFree(j));
-                }
-            }
-            JobKind::Flush { gated, .. } => {
-                if let Some(r) = gated {
-                    self.states[r].gate -= 1;
-                    if self.states[r].gate == 0 && self.states[r].ready {
-                        self.start_disk(r, now);
-                    }
-                }
-                let d = (self.cfg.tape_unload_s * MS as f64) as SimMs;
-                self.queue.push(now + d, HEv::DriveFree(j));
-            }
-            JobKind::OutageHold { .. } => unreachable!("holds never transfer"),
-        }
-    }
-
-    /// Tape drive unloaded: pass it to the next queued job.
-    fn drive_free(&mut self, j: usize, now: SimMs) {
-        let next = match self.jobs[j].device {
-            DeviceClass::TapeSilo => self.silo.release(now),
-            DeviceClass::TapeManual => self.manual.release(now),
-            DeviceClass::Disk => unreachable!("disks have no unload"),
-        };
-        if let Some(n) = next {
-            self.drive_granted(n, now);
+        let spindle = self.states[r].id.index() % self.spindles.len();
+        if let Some(n) = self.spindles[spindle].release(now) {
+            self.spindle_granted(n, now);
         }
     }
 
     /// Finalizes a reference's first byte and records its wait.
     fn resolve_ref(&mut self, i: usize, first_byte_ms: SimMs) {
-        let (arrival, served) = {
-            let st = &self.states[i];
-            debug_assert!(!st.done, "reference resolved twice");
-            (st.arrival_ms, st.served)
-        };
-        let fb = first_byte_ms.max(arrival);
-        self.states[i].first_byte_ms = fb;
-        self.states[i].done = true;
-        let wait_s = (fb - arrival) as f64 / MS as f64;
-        match served {
+        let st = &mut self.states[i];
+        debug_assert!(!st.done, "reference resolved twice");
+        let fb = first_byte_ms.max(st.arrival_ms);
+        st.first_byte_ms = fb;
+        st.done = true;
+        let wait_s = (fb - st.arrival_ms) as f64 / MS as f64;
+        match st.served {
             ServedBy::DiskHit => self.metrics.hit_wait.record(wait_s),
             ServedBy::DelayedHit => self.metrics.delayed_hit_wait.record(wait_s),
             ServedBy::Recall => {
                 self.metrics.miss_wait.record(wait_s);
                 // The feedback loop closes here: a measured recall wait
                 // (retries, outages, and queueing included) updates the
-                // estimate future victim rankings will see. `device` is
-                // the recall's tape tier for a `Recall`-served ref.
-                let st = &self.states[i];
-                self.feedback.record(st.device, st.size, wait_s);
+                // estimate future victim rankings will see.
+                self.feedback.record(st.tape.device(), st.size, wait_s);
             }
             ServedBy::DiskWrite => self.metrics.write_wait.record(wait_s),
         }
     }
+}
 
-    fn rate_of(&self, device: DeviceClass) -> f64 {
-        match device {
-            DeviceClass::Disk => self.cfg.disk_rate,
-            DeviceClass::TapeSilo => self.cfg.silo_rate,
-            DeviceClass::TapeManual => self.cfg.manual_rate,
+impl TapeHost<TapeWork> for Host<'_, '_> {
+    fn schedule(&mut self, at: SimMs, ev: TapeEvent) {
+        self.queue.push(at, HEv::Tape(ev));
+    }
+
+    fn draws(&mut self) -> &mut Draws {
+        &mut self.draws
+    }
+
+    /// A recall's first byte serves its issuer and every coalesced
+    /// waiter.
+    fn first_byte(&mut self, job: &TapeJob<TapeWork>, at: SimMs) {
+        let TapeWork::Recall { file, r } = job.payload else {
+            return;
+        };
+        self.resolve_ref(r, at);
+        if let Some(o) = self.outstanding[file.index()].as_mut() {
+            o.first_byte_ms = Some(at);
+            for w in std::mem::take(&mut o.waiters) {
+                self.resolve_ref(w, at);
+            }
         }
     }
 
-    /// The counter-noise identity key of job `j`'s draw at `stage`:
-    /// recalls by (issue seq, attempt), flushes by spawn seq, disk jobs
-    /// by the reference they serve.
-    fn noise_key(&self, j: usize, stage: u64) -> u64 {
-        match self.jobs[j].kind {
-            JobKind::Disk { r } => crate::noise::disk_key(r as u64, stage),
-            JobKind::Recall { seq, attempt, .. } => crate::noise::recall_key(seq, attempt, stage),
-            JobKind::Flush { seq, .. } => crate::noise::flush_key(seq, stage),
-            JobKind::OutageHold { .. } => unreachable!("holds draw no noise"),
+    fn transfer_end(&mut self, job: &TapeJob<TapeWork>, at: SimMs) {
+        match job.payload {
+            TapeWork::Recall { file, .. } => {
+                // The file is fully staged: further reads are plain hits.
+                self.cache.fetch_complete(file);
+                if let Some(o) = self.outstanding[file.index()].take() {
+                    debug_assert!(o.waiters.is_empty(), "waiters resolve at first byte");
+                }
+            }
+            TapeWork::Flush { gated: Some(r) } => {
+                let st = &mut self.states[r];
+                st.gate -= 1;
+                if st.gate == 0 && st.ready {
+                    self.start_disk(r, at);
+                }
+            }
+            TapeWork::Flush { gated: None } => {}
         }
     }
 
-    fn lognormal_ms(&mut self, median_s: f64, sigma: f64) -> SimMs {
-        let z = standard_normal(&mut self.rng);
-        ((median_s * (sigma * z).exp()) * MS as f64) as SimMs
-    }
-
-    fn jitter_ms(&mut self, base_s: f64, rel: f64) -> SimMs {
-        let f = 1.0 + self.rng.gen_range(-rel..rel);
-        ((base_s * f) * MS as f64) as SimMs
-    }
-}
-
-/// A file's archival tape tier: shelf files restage from the shelf,
-/// everything else (including files the trace saw on disk) lives in the
-/// silo.
-fn tape_of(device: DeviceClass) -> DeviceClass {
-    match device {
-        DeviceClass::TapeManual => DeviceClass::TapeManual,
-        _ => DeviceClass::TapeSilo,
+    /// Media read error: the bytes on disk are garbage. Re-arm the
+    /// cache's outstanding-fetch state (reads keep coalescing) and
+    /// rejoin the drive queue after the plan's backoff; waiters parked
+    /// on the outstanding recall ride along to the retry.
+    fn failed(
+        &mut self,
+        job: &TapeJob<TapeWork>,
+        _at: SimMs,
+        drive_free_ms: SimMs,
+    ) -> Option<SimMs> {
+        if let TapeWork::Recall { file, .. } = job.payload {
+            self.cache.fetch_failed(file);
+        }
+        Some(drive_free_ms + self.retry_backoff_ms)
     }
 }
 
-fn cart_slot(device: DeviceClass) -> usize {
-    match device {
-        DeviceClass::TapeSilo => 0,
-        DeviceClass::TapeManual => 1,
-        DeviceClass::Disk => unreachable!("disks have no cartridges"),
-    }
-}
+// The unit tests below build fault plans through `super::*`.
+#[cfg(test)]
+use crate::fault::FaultTarget;
 
 #[cfg(test)]
 mod tests {

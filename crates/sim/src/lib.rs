@@ -12,6 +12,14 @@
 //! Figure 3 (per-device latency CDFs) and the Table 3 latency rows, and
 //! supports the §6 ablations (write-behind, dividing point).
 //!
+//! The tape path — drives, robot arms or operators, seeks, tape movers,
+//! cartridge appends, unloads, and fault-schedule outages — has exactly
+//! one implementation, the sans-IO [`TapeCore`] in [`tape`]. It has
+//! three hosts: the open-loop [`MssSimulator`], the closed-loop
+//! [`HierarchySimulator`], and the live service's `fmig-origin`. Each
+//! host supplies the event queue, the stage-timing [`noise::Draws`], and
+//! callbacks at first byte, transfer end, and failed attempts.
+//!
 //! # Examples
 //!
 //! ```
@@ -42,6 +50,7 @@ pub mod noise;
 pub mod pool;
 pub mod sim;
 pub mod striping;
+pub mod tape;
 
 pub use config::SimConfig;
 pub use cutthrough::{CutThroughModel, CutThroughReport};
@@ -52,3 +61,4 @@ pub use metrics::{LatencyHistogram, Metrics, Utilisation};
 pub use pool::Pool;
 pub use sim::{MssSimulator, SimRun};
 pub use striping::{StripeRow, StripingStudy};
+pub use tape::{TapeCore, TapeEvent, TapeHost, TapeJob, TapeTier};

@@ -21,9 +21,16 @@
 //! draw the engine makes. All hashing is the workspace's one
 //! splitmix64 mixer, [`crate::fault::seed_mix`].
 //!
+//! [`Draws`] is the one draw source the engines take: either the shared
+//! stream or keyed draws, addressed by a [`Subject`] that the stream
+//! ignores.
+//!
 //! [`SimConfig::counter_noise`]: crate::config::SimConfig::counter_noise
 
 use std::f64::consts::TAU;
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use crate::event::{SimMs, MS};
 use crate::fault::seed_mix;
@@ -67,6 +74,88 @@ pub fn flush_key(seq: u64, stage: u64) -> u64 {
     seed_mix(seed_mix(TAG_FLUSH, seq), stage)
 }
 
+/// Whose stage timing a draw is: the job identity a keyed draw is
+/// addressed by. Shared-stream draws ignore it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Subject {
+    /// A foreground reference, by trace index.
+    Ref(u64),
+    /// The disk job serving the reference with this trace index.
+    Disk(u64),
+    /// One attempt of a recall, by issue-order sequence number.
+    Recall {
+        /// Issue-order sequence number.
+        seq: u64,
+        /// Failed attempts before this one.
+        attempt: u32,
+    },
+    /// A flush, by spawn-order sequence number.
+    Flush(u64),
+}
+
+impl Subject {
+    /// The key of this subject's draw at `stage`.
+    pub fn key(self, stage: u64) -> u64 {
+        match self {
+            Subject::Ref(i) => seed_mix(seed_mix(TAG_REF, i), stage),
+            Subject::Disk(r) => disk_key(r, stage),
+            Subject::Recall { seq, attempt } => recall_key(seq, attempt, stage),
+            Subject::Flush(seq) => flush_key(seq, stage),
+        }
+    }
+}
+
+/// The source of an engine's stage timings.
+#[derive(Debug, Clone)]
+pub enum Draws {
+    /// One shared sequential stream: a draw depends on every draw made
+    /// before it, so only a whole-run replay reproduces it.
+    Stream(SmallRng),
+    /// Keyed, counter-free draws from this seed: a pure function of
+    /// `(seed, subject, stage)`.
+    Keyed(u64),
+}
+
+impl Draws {
+    /// Keyed draws when `keyed`, else a shared stream seeded by `seed`.
+    pub fn new(seed: u64, keyed: bool) -> Self {
+        if keyed {
+            Draws::Keyed(seed)
+        } else {
+            Draws::Stream(SmallRng::seed_from_u64(seed))
+        }
+    }
+
+    /// A uniform draw in `[lo, hi)`.
+    pub fn range(&mut self, who: Subject, stage: u64, lo: f64, hi: f64) -> f64 {
+        match self {
+            Draws::Stream(rng) => rng.gen_range(lo..hi),
+            Draws::Keyed(seed) => range(*seed, who.key(stage), lo, hi),
+        }
+    }
+
+    /// A lognormal delay in milliseconds: `median · e^(σ·z)`.
+    pub fn lognormal_ms(&mut self, who: Subject, stage: u64, median_s: f64, sigma: f64) -> SimMs {
+        let z = match self {
+            Draws::Stream(rng) => standard_normal(rng),
+            Draws::Keyed(seed) => normal(*seed, who.key(stage)),
+        };
+        ((median_s * (sigma * z).exp()) * MS as f64) as SimMs
+    }
+
+    /// A relative jitter delay in milliseconds: `base · (1 ± rel)`.
+    pub fn jitter_ms(&mut self, who: Subject, stage: u64, base_s: f64, rel: f64) -> SimMs {
+        ((base_s * (1.0 + self.range(who, stage, -rel, rel))) * MS as f64) as SimMs
+    }
+}
+
+/// A standard normal via Box–Muller from two consecutive stream draws.
+fn standard_normal(rng: &mut SmallRng) -> f64 {
+    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+    let u2: f64 = rng.gen();
+    (-2.0 * u1.ln()).sqrt() * (TAU * u2).cos()
+}
+
 /// A uniform draw in `[0, 1)` from the top 53 bits of the mixed hash —
 /// the same bit-to-unit mapping the fault schedule's error decisions
 /// use.
@@ -90,15 +179,9 @@ pub fn normal(seed: u64, key: u64) -> f64 {
 }
 
 /// A keyed lognormal delay in milliseconds: `median · e^(σ·z)`,
-/// truncated exactly as the engine's shared-RNG `lognormal_ms`.
+/// truncated exactly as [`Draws::lognormal_ms`].
 pub fn lognormal_ms(seed: u64, key: u64, median_s: f64, sigma: f64) -> SimMs {
     ((median_s * (sigma * normal(seed, key)).exp()) * MS as f64) as SimMs
-}
-
-/// A keyed relative jitter delay in milliseconds:
-/// `base · (1 ± rel)`, truncated exactly as the engine's `jitter_ms`.
-pub fn jitter_ms(seed: u64, key: u64, base_s: f64, rel: f64) -> SimMs {
-    ((base_s * (1.0 + range(seed, key, -rel, rel))) * MS as f64) as SimMs
 }
 
 #[cfg(test)]
