@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-matrix fmt lint bench doc docs examples bench-track bench-scaling service-smoke ingest-smoke clean
+.PHONY: ci build test test-matrix fmt lint bench bench-harness doc docs examples bench-track bench-scaling service-smoke ingest-smoke clean
 
-ci: build test test-matrix fmt lint bench docs examples bench-track bench-scaling service-smoke ingest-smoke
+ci: build test test-matrix fmt lint bench bench-harness docs examples bench-track bench-scaling service-smoke ingest-smoke
 
 build:
 	$(CARGO) build --release --workspace --all-targets
@@ -30,6 +30,12 @@ lint:
 
 bench:
 	$(CARGO) bench --no-run --workspace
+
+# The benchmark harness (fmigbench/, its own Cargo workspace) builds
+# against the crates' public API by path; its own tests keep that API
+# honest.
+bench-harness:
+	$(CARGO) test --manifest-path fmigbench/Cargo.toml
 
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps

@@ -47,7 +47,6 @@ pub mod policy;
 pub mod prefetch;
 mod rank;
 pub mod residency;
-pub mod shard;
 pub mod writeback;
 
 pub use cache::{
@@ -69,5 +68,4 @@ pub use policy::{
 };
 pub use prefetch::PrefetchReport;
 pub use residency::{ResidencyCostModel, ResidencyOutcome, ResidencyPolicy};
-pub use shard::ShardedCache;
 pub use writeback::{defer_writes, deferral_report, DeferralReport};

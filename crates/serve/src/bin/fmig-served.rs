@@ -6,9 +6,11 @@
 //! `--retry-budget`, `--breaker`, and `--queue-bound` switch on the
 //! live robustness core.
 
+use std::fmt::Display;
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use fmig_core::{FaultScenarioId, PolicyId};
 use fmig_serve::backoff::RetryPolicy;
@@ -16,9 +18,18 @@ use fmig_serve::daemon::{serve, DaemonConfig};
 
 const USAGE: &str = "usage: fmig-served --origin HOST:PORT --capacity BYTES \
                      [--addr HOST:PORT] [--policy NAME] [--seed N] [--scenario NAME] \
-                     [--span-start VMS] [--span-end VMS] [--shards N] \
+                     [--span-start VMS] [--span-end VMS] \
                      [--deadline VMS] [--retry-budget N] [--breaker THRESH:COOLDOWN_VMS] \
                      [--queue-bound N]";
+
+/// The value after `flag`, parsed.
+fn value<T: FromStr>(flag: &str, v: Option<String>) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let v = v.ok_or(format!("{flag} needs a value"))?;
+    v.parse().map_err(|e| format!("bad {flag}: {e}"))
+}
 
 fn run() -> Result<(), String> {
     let mut addr = "127.0.0.1:0".to_string();
@@ -29,68 +40,32 @@ fn run() -> Result<(), String> {
     let mut scenario = FaultScenarioId::None;
     let mut span_start = 0i64;
     let mut span_end = 0i64;
-    let mut shards = 1usize;
     let mut deadline: Option<i64> = None;
     let mut retry_budget: Option<u32> = None;
     let mut breaker: Option<(u32, i64)> = None;
     let mut queue_bound: Option<usize> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut val = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--addr" => addr = val("--addr")?,
-            "--origin" => origin = Some(val("--origin")?),
-            "--capacity" => {
-                capacity = Some(
-                    val("--capacity")?
-                        .parse()
-                        .map_err(|e| format!("bad --capacity: {e}"))?,
-                )
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--addr" => addr = value(flag, it.next())?,
+            "--origin" => origin = Some(value(flag, it.next())?),
+            "--capacity" => capacity = Some(value(flag, it.next())?),
             "--policy" => {
-                let v = val("--policy")?;
+                let v: String = value(flag, it.next())?;
                 policy = PolicyId::parse(&v).ok_or(format!("unknown policy `{v}`"))?;
             }
-            "--seed" => {
-                seed = val("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
+            "--seed" => seed = value(flag, it.next())?,
             "--scenario" => {
-                let v = val("--scenario")?;
+                let v: String = value(flag, it.next())?;
                 scenario = FaultScenarioId::parse(&v).ok_or(format!("unknown scenario `{v}`"))?;
             }
-            "--span-start" => {
-                span_start = val("--span-start")?
-                    .parse()
-                    .map_err(|e| format!("bad --span-start: {e}"))?
-            }
-            "--span-end" => {
-                span_end = val("--span-end")?
-                    .parse()
-                    .map_err(|e| format!("bad --span-end: {e}"))?
-            }
-            "--shards" => {
-                shards = val("--shards")?
-                    .parse()
-                    .map_err(|e| format!("bad --shards: {e}"))?
-            }
-            "--deadline" => {
-                deadline = Some(
-                    val("--deadline")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline: {e}"))?,
-                )
-            }
-            "--retry-budget" => {
-                retry_budget = Some(
-                    val("--retry-budget")?
-                        .parse()
-                        .map_err(|e| format!("bad --retry-budget: {e}"))?,
-                )
-            }
+            "--span-start" => span_start = value(flag, it.next())?,
+            "--span-end" => span_end = value(flag, it.next())?,
+            "--deadline" => deadline = Some(value(flag, it.next())?),
+            "--retry-budget" => retry_budget = Some(value(flag, it.next())?),
             "--breaker" => {
-                let v = val("--breaker")?;
+                let v: String = value(flag, it.next())?;
                 let (t, c) = v
                     .split_once(':')
                     .ok_or("--breaker wants THRESH:COOLDOWN_VMS")?;
@@ -101,13 +76,7 @@ fn run() -> Result<(), String> {
                         .map_err(|e| format!("bad breaker cooldown: {e}"))?,
                 ));
             }
-            "--queue-bound" => {
-                queue_bound = Some(
-                    val("--queue-bound")?
-                        .parse()
-                        .map_err(|e| format!("bad --queue-bound: {e}"))?,
-                )
-            }
+            "--queue-bound" => queue_bound = Some(value(flag, it.next())?),
             "-h" | "--help" => {
                 println!("{USAGE}");
                 return Ok(());
@@ -121,7 +90,6 @@ fn run() -> Result<(), String> {
     let mut cfg = DaemonConfig::compat(
         origin, capacity, policy, scenario, seed, span_start, span_end,
     );
-    cfg.shards = shards;
     cfg.deadline_ms = deadline;
     if let Some(budget) = retry_budget {
         cfg.retry = RetryPolicy {

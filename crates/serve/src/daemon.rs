@@ -1,13 +1,22 @@
 //! `fmig-served`: the HSM cache daemon.
 //!
-//! Owns a policy-driven [`ShardedCache`] plus the *disk half* of the
-//! device model — MSCP dispatch, spindles, channel movers, stall-flush
-//! gates — and schedules every miss as a recall against the origin
-//! server, which hosts the tape core ([`crate::origin`],
-//! [`fmig_sim::tape`]). The two halves
-//! stay causally consistent through a watermark protocol: before the
-//! daemon processes anything at virtual time `t` it advances the origin
-//! to `t` and applies every tape event the origin emitted up to `t`.
+//! Hosts the disk core, [`fmig_sim::disk::DiskCore`] — the
+//! policy-driven cache, recall coalescing, MSCP dispatch, spindles,
+//! channel movers, and stall-flush gates that the closed-loop simulator
+//! runs too — over its own local event queue, and sends the core's tape
+//! work as `Recall` and `Flush` frames to the origin server, which
+//! hosts the tape core ([`crate::origin`], [`fmig_sim::tape`]). The two
+//! halves stay causally consistent through a watermark protocol: before
+//! the daemon processes anything at virtual time `t` it advances the
+//! origin to `t` and applies every tape event the origin emitted up to
+//! `t`.
+//!
+//! What the daemon adds is its own: the client sockets and the reorder
+//! buffer, shedding, the breaker and the retry verdicts, deadlines, the
+//! job ids that validate origin replies, acked-write accounting, and
+//! `Done` frames. Requests naming a file id outside the dense `u32`
+//! space, or a time the virtual clock cannot hold, are answered
+//! `Rejected(Invalid)`.
 //!
 //! # Robustness core
 //!
@@ -26,9 +35,10 @@
 //! flushes all dirty writeback bytes before acknowledging.
 //!
 //! In simulator-compat mode (no deadline, compat retry, breaker
-//! disabled, one shard) a replay of a prepared trace reproduces
-//! [`fmig_sim::HierarchySimulator`]'s cache decisions exactly — that is
-//! the oracle contract `repro service-smoke` enforces.
+//! disabled) a replay of a prepared trace reproduces
+//! [`fmig_sim::HierarchySimulator`] in counter-noise mode reference for
+//! reference — that is the oracle contract `repro service-smoke`
+//! enforces.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufReader, BufWriter, Write};
@@ -40,13 +50,14 @@ use std::thread;
 use std::time::Duration;
 
 use fmig_core::{FaultScenarioId, PolicyId};
-use fmig_migrate::cache::{CacheConfig, CacheOp, ReadResult};
-use fmig_migrate::{LatencyFeedback, ShardedCache};
+use fmig_migrate::cache::CacheConfig;
+use fmig_migrate::eval::PreparedRef;
 use fmig_sim::config::SimConfig;
+use fmig_sim::disk::{DiskCore, DiskEvent, DiskOut, ServedBy, TapeWork};
 use fmig_sim::event::{EventQueue, SimMs, MS};
-use fmig_sim::noise;
-use fmig_sim::Pool;
-use fmig_trace::{DeviceClass, FileId};
+use fmig_sim::noise::Draws;
+use fmig_sim::tape::TapeJob;
+use fmig_trace::FileId;
 
 use crate::backoff::RetryPolicy;
 use crate::breaker::{should_shed, CircuitBreaker};
@@ -68,7 +79,7 @@ pub struct DaemonConfig {
     pub origin_addr: String,
     /// Staging-disk capacity in bytes.
     pub capacity: u64,
-    /// Victim-ranking policy; runs unmodified behind the shard adapter.
+    /// Victim-ranking policy.
     pub policy: PolicyId,
     /// Chaos scenario the origin materializes.
     pub scenario: FaultScenarioId,
@@ -78,8 +89,6 @@ pub struct DaemonConfig {
     pub span_start_vms: SimMs,
     /// Fault-schedule span end (last reference + slack), virtual ms.
     pub span_end_vms: SimMs,
-    /// Cache shards (1 for oracle-exact replays).
-    pub shards: usize,
     /// Recall first-byte deadline relative to issue; `None` disables.
     pub deadline_ms: Option<SimMs>,
     /// Retry backoff policy for failed recalls.
@@ -95,7 +104,7 @@ pub struct DaemonConfig {
 
 impl DaemonConfig {
     /// The simulator-oracle configuration: no deadline, the fault
-    /// plan's fixed unbounded backoff, breaker disabled, one shard.
+    /// plan's fixed unbounded backoff, breaker disabled.
     pub fn compat(
         origin_addr: String,
         capacity: u64,
@@ -113,7 +122,6 @@ impl DaemonConfig {
             seed,
             span_start_vms,
             span_end_vms,
-            shards: 1,
             deadline_ms: None,
             retry: RetryPolicy::compat(&scenario.plan(), seed),
             breaker_threshold: 0,
@@ -133,60 +141,11 @@ enum CoreMsg {
     Gone(u64),
 }
 
-/// Local (disk-half) events.
+/// Who asked for a reference: its client connection and request id.
 #[derive(Debug, Clone, Copy)]
-enum LEv {
-    /// MSCP dispatch overhead elapsed for reference `r`.
-    Dispatch(usize),
-    /// Disk transfer finished for disk job `j`.
-    DiskDone(usize),
-}
-
-/// Per-reference state, the daemon's `RefState`.
-#[derive(Debug, Clone, Copy)]
-struct RefSt {
-    arrival_vms: SimMs,
-    id: FileId,
-    size: u64,
-    write: bool,
-    served: ServedKind,
-    /// Tape tier behind the file (recalls), or `Disk`.
-    device: DeviceClass,
-    done: bool,
-    /// Outstanding stall-flushes gating this reference's disk start.
-    gate: u32,
-    /// Dispatched and waiting only on its gate.
-    ready: bool,
-    recall_seq: u64,
+struct Client {
     conn: u64,
     req: u64,
-}
-
-/// A foreground disk service job.
-#[derive(Debug, Clone, Copy)]
-struct DJob {
-    r: usize,
-    spindle: usize,
-}
-
-/// A coalesced in-flight recall (the daemon's `OutstandingRecall`).
-#[derive(Debug, Clone, Default)]
-struct Outst {
-    first_byte_vms: Option<SimMs>,
-    waiters: Vec<usize>,
-}
-
-/// An in-flight recall job at the origin.
-#[derive(Debug, Clone, Copy)]
-struct RecallJob {
-    r: usize,
-    file: FileId,
-}
-
-/// An in-flight flush job at the origin.
-#[derive(Debug, Clone, Copy)]
-struct FlushJob {
-    gated: Option<usize>,
 }
 
 /// The origin's end-of-run fault accounting.
@@ -199,25 +158,13 @@ struct OriginReport {
 
 struct Core<'p> {
     cfg: DaemonConfig,
-    sim: SimConfig,
-    cache: ShardedCache<'p>,
-    feedback: LatencyFeedback,
-    queue: EventQueue<LEv>,
-    spindles: Vec<Pool>,
-    movers: Pool,
-    states: Vec<RefSt>,
-    djobs: Vec<DJob>,
-    outstanding: Vec<Option<Outst>>,
-    file_tape: Vec<Option<DeviceClass>>,
-    recall_tbl: HashMap<u64, RecallJob>,
-    flush_tbl: HashMap<u64, FlushJob>,
+    disk: DiskCore<'p, Client>,
+    draws: Draws,
+    queue: EventQueue<DiskEvent>,
+    /// Origin jobs in flight, by job id: every origin reply must name
+    /// one of the right kind.
+    jobs: HashMap<u64, TapeWork>,
     next_job: u64,
-    next_recall_seq: u64,
-    requests: u64,
-    recalls: u64,
-    delayed_hits: u64,
-    flush_jobs: u64,
-    flush_bytes: u64,
     abandoned: u64,
     acked_writes: u64,
     acked_write_bytes: u64,
@@ -273,12 +220,9 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
     }
 
     let policy = cfg.policy.build();
-    let sim = SimConfig::default().with_seed(cfg.seed);
-    let cache = ShardedCache::new(
-        CacheConfig::with_capacity(cfg.capacity),
-        policy.as_ref(),
-        cfg.shards.max(1),
-    );
+    let sim = SimConfig::default()
+        .with_seed(cfg.seed)
+        .with_counter_noise(true);
 
     let local_addr = listener
         .local_addr()
@@ -294,26 +238,16 @@ pub fn serve(listener: TcpListener, cfg: DaemonConfig) -> Result<ServiceStats, S
     let mut core = Core {
         retry: cfg.retry,
         breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms),
-        spindles: (0..sim.disk_spindles).map(|_| Pool::new(1)).collect(),
-        movers: Pool::new(sim.movers),
-        cfg,
-        sim,
-        cache,
-        feedback: LatencyFeedback::new(),
+        disk: DiskCore::new(
+            &sim,
+            CacheConfig::with_capacity(cfg.capacity),
+            policy.as_ref(),
+        ),
+        draws: Draws::new(sim.seed, sim.counter_noise),
         queue: EventQueue::new(),
-        states: Vec::new(),
-        djobs: Vec::new(),
-        outstanding: Vec::new(),
-        file_tape: Vec::new(),
-        recall_tbl: HashMap::new(),
-        flush_tbl: HashMap::new(),
+        jobs: HashMap::new(),
         next_job: 0,
-        next_recall_seq: 0,
-        requests: 0,
-        recalls: 0,
-        delayed_hits: 0,
-        flush_jobs: 0,
-        flush_bytes: 0,
+        cfg,
         abandoned: 0,
         acked_writes: 0,
         acked_write_bytes: 0,
@@ -477,7 +411,7 @@ impl Core<'_> {
     }
 
     fn process_request(&mut self, conn: u64, frame: Frame) -> Result<(), String> {
-        let (req, file, size, time_s, next_use_raw, device, write) = match frame {
+        let (req, file, size, time_s, next_use, device, write) = match frame {
             Frame::ReadReq {
                 req,
                 file,
@@ -496,211 +430,115 @@ impl Core<'_> {
             } => (req, file, size, time_s, next_use, device, true),
             _ => unreachable!("only requests are sequenced"),
         };
-        let t_vms = time_s * MS;
+        // Outside input: a file id past the dense id space, or a time
+        // the virtual clock cannot hold, is refused, not trusted.
+        let t_vms = time_s
+            .checked_mul(MS)
+            .filter(|t| t.unsigned_abs() < DRAIN_HORIZON_VMS as u64);
+        let (Ok(file), Some(t_vms)) = (u32::try_from(file), t_vms) else {
+            let reason = RejectReason::Invalid;
+            self.send(conn, Frame::Rejected { req, reason });
+            return Ok(());
+        };
         self.advance_to(t_vms)?;
-        let id = FileId::from(file);
-        if !write {
-            let resident = self.cache.contains(id);
-            if should_shed(
-                resident,
+        let id = FileId::new(file);
+        if !write
+            && should_shed(
+                self.disk.cache().contains(id),
                 self.breaker.is_open(t_vms),
                 self.live_recalls,
                 self.cfg.queue_bound,
-            ) {
-                self.send(
-                    conn,
-                    Frame::Rejected {
-                        req,
-                        reason: RejectReason::Shedding,
-                    },
-                );
-                return Ok(());
-            }
+            )
+        {
+            let reason = RejectReason::Shedding;
+            self.send(conn, Frame::Rejected { req, reason });
+            return Ok(());
         }
-        self.requests += 1;
-        let next_use = (next_use_raw != NO_NEXT_USE).then_some(next_use_raw);
-        self.arrive(conn, req, id, size, write, time_s, next_use, device, t_vms)
-    }
-
-    /// Classifies one reference through the cache and turns its side
-    /// effects into device traffic — the daemon's half of the engine's
-    /// `arrive`.
-    #[allow(clippy::too_many_arguments)]
-    fn arrive(
-        &mut self,
-        conn: u64,
-        req: u64,
-        id: FileId,
-        size: u64,
-        write: bool,
-        time_s: i64,
-        next_use: Option<i64>,
-        device: DeviceClass,
-        t_vms: SimMs,
-    ) -> Result<(), String> {
-        let tape = match device {
-            DeviceClass::TapeManual => DeviceClass::TapeManual,
-            _ => DeviceClass::TapeSilo,
-        };
-        if id.index() >= self.file_tape.len() {
-            self.file_tape.resize(id.index() + 1, None);
-            self.outstanding.resize_with(self.file_tape.len(), || None);
-        }
-        self.file_tape[id.index()] = Some(tape);
-        // Publish the current miss-wait estimate before classification,
-        // exactly like the closed-loop engine: the touch stamps it onto
-        // the entry for latency-aware victim ranking.
-        let est = self.feedback.estimate(tape, size);
-        let mut ops = Vec::new();
-        let coalescing = self.sim.recall_coalescing;
-        let served = if write {
-            self.cache
-                .write_with(id, size, time_s, next_use, est, &mut |op| ops.push(op));
-            ServedKind::Write
-        } else {
-            match self
-                .cache
-                .read_with(id, size, time_s, next_use, est, &mut |op| ops.push(op))
-            {
-                ReadResult::Hit => ServedKind::Hit,
-                ReadResult::DelayedHit if coalescing => {
-                    if self.outstanding[id.index()].is_some() {
-                        ServedKind::DelayedHit
-                    } else {
-                        // Live-mode abandon aftermath: the cache still
-                        // thinks a fetch is in flight but the recall was
-                        // abandoned. Re-issue it. Never taken in compat
-                        // mode, where recalls are never abandoned.
-                        ServedKind::Recall
-                    }
-                }
-                // Coalescing off: a delayed hit pays its own fetch.
-                ReadResult::DelayedHit => ServedKind::Recall,
-                ReadResult::Miss if coalescing && self.outstanding[id.index()].is_some() => {
-                    // Evicted while its recall is still in flight: the
-                    // bytes are already on the way, the re-miss
-                    // coalesces too.
-                    ServedKind::DelayedHit
-                }
-                ReadResult::Miss => ServedKind::Recall,
-            }
-        };
-        let device_served = match served {
-            ServedKind::Hit | ServedKind::Write => DeviceClass::Disk,
-            _ => tape,
-        };
-        // Counter-noise identity: recall sequence numbers are assigned
-        // in arrival order, which is exactly what the oracle does in
-        // counter-noise mode.
-        let recall_seq = if served == ServedKind::Recall {
-            self.next_recall_seq += 1;
-            self.next_recall_seq - 1
-        } else {
-            0
-        };
-        let i = self.states.len();
-        self.states.push(RefSt {
-            arrival_vms: t_vms,
+        let pr = PreparedRef {
             id,
             size,
             write,
-            served,
-            device: device_served,
-            done: false,
-            gate: 0,
-            ready: false,
-            recall_seq,
-            conn,
-            req,
-        });
+            time: time_s,
+            next_use: (next_use != NO_NEXT_USE).then_some(next_use),
+            device,
+        };
+        self.disk.arrive(&pr, Client { conn, req }, &mut self.draws);
+        self.settle()
+    }
 
-        // Cache side effects become tape traffic at the origin.
-        for &op in &ops {
-            match op {
-                CacheOp::Fetch { .. } | CacheOp::Drop { .. } => {}
-                CacheOp::Writeback { id, bytes } => {
-                    let at = t_vms + (self.sim.writeback_delay_s * MS as f64) as SimMs;
-                    self.spawn_flush(id, bytes, None, at)?;
-                }
-                CacheOp::StallFlush { id, bytes } => {
-                    // Only disk-served foregrounds stall on the flush; a
-                    // miss's recall is the longer pole and proceeds.
-                    let gated = if served == ServedKind::Write || served == ServedKind::Hit {
-                        self.states[i].gate += 1;
-                        Some(i)
-                    } else {
-                        None
-                    };
-                    self.spawn_flush(id, bytes, gated, t_vms)?;
-                }
-                CacheOp::PurgeFlush { id, bytes } => {
-                    self.spawn_flush(id, bytes, None, t_vms)?;
-                }
+    /// Carries out the disk core's outbox: local events join the queue,
+    /// tape work goes to the origin, and resolved references get their
+    /// `Done`.
+    fn settle(&mut self) -> Result<(), String> {
+        while let Some(out) = self.disk.pop_out() {
+            match out {
+                DiskOut::Schedule(at, ev) => self.queue.push(at, ev),
+                DiskOut::Tape(job, at) => self.send_job(*job, at)?,
+                DiskOut::Resolved(r) => self.done(r),
             }
-        }
-
-        match served {
-            ServedKind::Hit | ServedKind::Write | ServedKind::Recall => {
-                let d = noise::lognormal_ms(
-                    self.sim.seed,
-                    noise::dispatch_key(i as u64),
-                    self.sim.mscp_overhead_median_s,
-                    self.sim.mscp_overhead_sigma,
-                );
-                self.queue.push(t_vms + d, LEv::Dispatch(i));
-                if served == ServedKind::Recall && coalescing {
-                    self.outstanding[id.index()] = Some(Outst::default());
-                }
-            }
-            ServedKind::DelayedHit => {
-                self.delayed_hits += 1;
-                let o = self.outstanding[id.index()]
-                    .as_mut()
-                    .expect("delayed hit implies an outstanding recall");
-                match o.first_byte_vms {
-                    // Data already streaming to disk: served on arrival.
-                    Some(fb) => self.resolve_ref(i, fb),
-                    None => o.waiters.push(i),
-                }
-            }
-            ServedKind::Failed => unreachable!("arrivals are never pre-failed"),
         }
         Ok(())
     }
 
-    /// Ships a background tape flush to the origin (the engine's
-    /// `spawn_flush` + `FlushReady`).
-    fn spawn_flush(
-        &mut self,
-        file: FileId,
-        bytes: u64,
-        gated: Option<usize>,
-        at: SimMs,
-    ) -> Result<(), String> {
-        let tape = self
-            .file_tape
-            .get(file.index())
-            .copied()
-            .flatten()
-            .unwrap_or(DeviceClass::TapeSilo);
-        let seq = self.flush_jobs;
-        self.flush_jobs += 1;
-        self.flush_bytes += bytes;
-        let job = self.next_job;
+    /// Ships a tape job to the origin: a recall entering its drive
+    /// queue at `at`, or a flush ready at `at`.
+    fn send_job(&mut self, job: TapeJob<TapeWork>, at: SimMs) -> Result<(), String> {
+        let id = self.next_job;
         self.next_job += 1;
-        self.flush_tbl.insert(job, FlushJob { gated });
-        Frame::Flush {
-            job,
-            file: file.index() as u64,
-            seq,
-            size: bytes,
-            tier: tape,
-            ready_vms: at,
-        }
-        .write_to(&mut self.origin_w)
-        .map_err(|e| format!("flush send: {e}"))?;
+        self.jobs.insert(id, job.payload);
+        let frame = match job.payload {
+            TapeWork::Recall(r) => {
+                self.live_recalls += 1;
+                Frame::Recall {
+                    job: id,
+                    file: self.disk.refs()[r].id.into(),
+                    seq: job.seq,
+                    size: job.size,
+                    tier: job.tier.device(),
+                    enter_vms: at,
+                    deadline_vms: self.cfg.deadline_ms.map_or(NO_DEADLINE, |d| at + d),
+                }
+            }
+            TapeWork::Flush { file, .. } => Frame::Flush {
+                job: id,
+                file: file.into(),
+                seq: job.seq,
+                size: job.size,
+                tier: job.tier.device(),
+                ready_vms: at,
+            },
+        };
+        frame
+            .write_to(&mut self.origin_w)
+            .map_err(|e| format!("tape job send: {e}"))?;
         self.origin_dirty = true;
         Ok(())
+    }
+
+    /// Sends a resolved reference its `Done` and counts an acked write.
+    fn done(&mut self, r: usize) {
+        let rf = self.disk.refs()[r];
+        let served = match rf.served {
+            _ if rf.failed => ServedKind::Failed,
+            ServedBy::DiskHit => ServedKind::Hit,
+            ServedBy::DelayedHit => ServedKind::DelayedHit,
+            ServedBy::Recall => ServedKind::Recall,
+            ServedBy::DiskWrite => ServedKind::Write,
+        };
+        if rf.write {
+            self.acked_writes += 1;
+            self.acked_write_bytes += rf.size;
+        }
+        let Client { conn, req } = rf.payload;
+        let wait_vms = rf.wait_ms();
+        self.send(
+            conn,
+            Frame::Done {
+                req,
+                wait_vms,
+                served,
+            },
+        );
     }
 
     /// Processes every local event up to `t`, keeping the origin's
@@ -717,7 +555,8 @@ impl Core<'_> {
             match next_local {
                 Some(_) => {
                     let (now, ev) = self.queue.pop().expect("peeked event");
-                    self.handle_local(now, ev)?;
+                    self.disk.handle(now, ev, &mut self.draws);
+                    self.settle()?;
                 }
                 None => return Ok(()),
             }
@@ -738,8 +577,18 @@ impl Core<'_> {
                 Frame::read_from(&mut self.origin_r).map_err(|e| format!("origin read: {e}"))?;
             match frame {
                 Frame::AdvanceDone { .. } => break,
-                Frame::RecallFirstByte { job, fb_vms } => self.recall_first_byte(job, fb_vms)?,
-                Frame::RecallDone { job, done_vms } => self.recall_done(job, done_vms)?,
+                Frame::RecallFirstByte { job, fb_vms } => {
+                    let r = self.recall(job, "first byte")?;
+                    self.disk.recall_first_byte(r, fb_vms);
+                }
+                Frame::RecallDone { job, done_vms } => {
+                    let r = self.recall(job, "completion")?;
+                    self.jobs.remove(&job);
+                    self.disk
+                        .tape_done(TapeWork::Recall(r), done_vms, &mut self.draws);
+                    self.breaker.record_success();
+                    self.live_recalls = self.live_recalls.saturating_sub(1);
+                }
                 Frame::RecallFailed {
                     job,
                     attempt,
@@ -750,49 +599,33 @@ impl Core<'_> {
                     job,
                     done_vms,
                     bytes,
-                } => self.flush_done(job, done_vms, bytes)?,
+                } => {
+                    let work = self
+                        .jobs
+                        .remove(&job)
+                        .filter(|w| matches!(w, TapeWork::Flush { .. }))
+                        .ok_or_else(|| format!("completion for unknown flush job {job}"))?;
+                    self.origin_flushed_bytes += bytes;
+                    self.disk.tape_done(work, done_vms, &mut self.draws);
+                }
                 other => return Err(format!("unexpected origin frame: {other:?}")),
             }
+            self.settle()?;
         }
         self.origin_clock = until;
         Ok(())
     }
 
-    /// The recall's transfer began: serve the requester and every
-    /// coalesced waiter at the first byte.
-    fn recall_first_byte(&mut self, job: u64, fb_vms: SimMs) -> Result<(), String> {
-        let rj = *self
-            .recall_tbl
-            .get(&job)
-            .ok_or_else(|| format!("first byte for unknown recall job {job}"))?;
-        self.resolve_ref(rj.r, fb_vms);
-        if let Some(o) = self.outstanding[rj.file.index()].as_mut() {
-            o.first_byte_vms = Some(fb_vms);
-            let waiters = std::mem::take(&mut o.waiters);
-            for w in waiters {
-                self.resolve_ref(w, fb_vms);
-            }
+    /// The reference whose recall origin job `job` is.
+    fn recall(&self, job: u64, what: &str) -> Result<usize, String> {
+        match self.jobs.get(&job) {
+            Some(&TapeWork::Recall(r)) => Ok(r),
+            _ => Err(format!("{what} for unknown recall job {job}")),
         }
-        Ok(())
-    }
-
-    /// The file is fully staged: further reads are plain hits.
-    fn recall_done(&mut self, job: u64, _done_vms: SimMs) -> Result<(), String> {
-        let rj = self
-            .recall_tbl
-            .remove(&job)
-            .ok_or_else(|| format!("completion for unknown recall job {job}"))?;
-        self.cache.fetch_complete(rj.file);
-        if let Some(o) = self.outstanding[rj.file.index()].take() {
-            debug_assert!(o.waiters.is_empty(), "waiters resolve at first byte");
-        }
-        self.breaker.record_success();
-        self.live_recalls = self.live_recalls.saturating_sub(1);
-        Ok(())
     }
 
     /// A recall attempt failed (media error or deadline): re-arm the
-    /// cache's outstanding-fetch state and decide retry vs abandon.
+    /// cache's outstanding fetch and decide retry vs abandon.
     fn recall_failed(
         &mut self,
         job: u64,
@@ -800,182 +633,25 @@ impl Core<'_> {
         failed_vms: SimMs,
         drive_free_vms: SimMs,
     ) -> Result<(), String> {
-        let rj = *self
-            .recall_tbl
-            .get(&job)
-            .ok_or_else(|| format!("failure for unknown recall job {job}"))?;
-        self.cache.fetch_failed(rj.file);
+        let r = self.recall(job, "failure")?;
+        self.disk.recall_failed(r);
         self.breaker.record_failure(failed_vms);
-        if self.retry.allows(attempt) {
-            let rejoin = drive_free_vms + self.retry.backoff_ms(job, attempt);
-            Frame::RecallRetry {
-                job,
-                rejoin_vms: rejoin,
-            }
-            .write_to(&mut self.origin_w)
-            .and_then(|()| self.origin_w.flush().map_err(ProtoError::from))
-            .map_err(|e| format!("retry verdict: {e}"))?;
+        let verdict = if self.retry.allows(attempt) {
+            let rejoin_vms = drive_free_vms + self.retry.backoff_ms(job, attempt);
+            Frame::RecallRetry { job, rejoin_vms }
         } else {
             self.abandoned += 1;
-            Frame::RecallAbandon { job }
-                .write_to(&mut self.origin_w)
-                .and_then(|()| self.origin_w.flush().map_err(ProtoError::from))
-                .map_err(|e| format!("abandon verdict: {e}"))?;
-            // The requester and every coalesced waiter fail now; the
-            // cache entry stays re-missable (see `arrive`'s downgrade).
-            self.states[rj.r].served = ServedKind::Failed;
-            self.resolve_ref(rj.r, failed_vms);
-            if let Some(o) = self.outstanding[rj.file.index()].take() {
-                for w in o.waiters {
-                    self.states[w].served = ServedKind::Failed;
-                    self.resolve_ref(w, failed_vms);
-                }
-            }
-            self.recall_tbl.remove(&job);
+            self.jobs.remove(&job);
             self.live_recalls = self.live_recalls.saturating_sub(1);
-        }
-        Ok(())
-    }
-
-    /// A background flush landed on tape: release its gate (and count
-    /// the writeback bytes as durable).
-    fn flush_done(&mut self, job: u64, done_vms: SimMs, bytes: u64) -> Result<(), String> {
-        let fj = self
-            .flush_tbl
-            .remove(&job)
-            .ok_or_else(|| format!("completion for unknown flush job {job}"))?;
-        self.origin_flushed_bytes += bytes;
-        if let Some(r) = fj.gated {
-            self.states[r].gate -= 1;
-            if self.states[r].gate == 0 && self.states[r].ready {
-                self.start_disk(r, done_vms);
-            }
-        }
-        Ok(())
-    }
-
-    fn handle_local(&mut self, now: SimMs, ev: LEv) -> Result<(), String> {
-        match ev {
-            LEv::Dispatch(r) => match self.states[r].served {
-                ServedKind::Hit | ServedKind::Write => {
-                    self.states[r].ready = true;
-                    if self.states[r].gate == 0 {
-                        self.start_disk(r, now);
-                    }
-                    Ok(())
-                }
-                ServedKind::Recall => self.issue_recall(r, now),
-                ServedKind::DelayedHit | ServedKind::Failed => {
-                    unreachable!("delayed hits and failures are never dispatched")
-                }
-            },
-            LEv::DiskDone(j) => {
-                if let Some(n) = self.movers.release(now) {
-                    self.disk_mover_granted(n, now);
-                }
-                let spindle = self.djobs[j].spindle;
-                if let Some(n) = self.spindles[spindle].release(now) {
-                    self.spindle_granted(n, now);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Ships a dispatched miss to the origin as a recall job.
-    fn issue_recall(&mut self, r: usize, now: SimMs) -> Result<(), String> {
-        let st = self.states[r];
-        let job = self.next_job;
-        self.next_job += 1;
-        self.recall_tbl.insert(job, RecallJob { r, file: st.id });
-        self.recalls += 1;
-        self.live_recalls += 1;
-        let deadline_vms = self.cfg.deadline_ms.map_or(NO_DEADLINE, |d| now + d);
-        Frame::Recall {
-            job,
-            file: st.id.index() as u64,
-            seq: st.recall_seq,
-            size: st.size,
-            tier: st.device,
-            enter_vms: now,
-            deadline_vms,
-        }
-        .write_to(&mut self.origin_w)
-        .map_err(|e| format!("recall send: {e}"))?;
-        self.origin_dirty = true;
-        Ok(())
-    }
-
-    /// Foreground disk service: queue on the file's spindle.
-    fn start_disk(&mut self, r: usize, now: SimMs) {
-        let j = self.djobs.len();
-        self.djobs.push(DJob {
-            r,
-            spindle: self.states[r].id.index() % self.spindles.len(),
-        });
-        let spindle = self.djobs[j].spindle;
-        if self.spindles[spindle].acquire(j, now) {
-            self.spindle_granted(j, now);
-        }
-    }
-
-    /// Spindle held: contend for a channel mover.
-    fn spindle_granted(&mut self, j: usize, now: SimMs) {
-        if self.movers.acquire(j, now) {
-            self.disk_mover_granted(j, now);
-        }
-    }
-
-    /// Disk transfer begins: the reference's first byte follows the
-    /// seek, and the transfer's end frees the mover and spindle.
-    fn disk_mover_granted(&mut self, j: usize, now: SimMs) {
-        let r = self.djobs[j].r;
-        let size = self.states[r].size;
-        let first_byte = now + (self.sim.disk_seek_s * MS as f64) as SimMs;
-        self.resolve_ref(r, first_byte);
-        let jitter = 1.0
-            + noise::range(
-                self.sim.seed,
-                noise::disk_key(r as u64, noise::STAGE_RATE),
-                -self.sim.rate_jitter,
-                self.sim.rate_jitter,
-            );
-        let xfer_ms = (size as f64 / (self.sim.disk_rate * jitter) * 1000.0) as SimMs;
-        self.queue
-            .push(first_byte + xfer_ms.max(1), LEv::DiskDone(j));
-    }
-
-    /// Finalizes a reference's first byte, records its wait, and sends
-    /// the client its `Done`.
-    fn resolve_ref(&mut self, i: usize, first_byte_vms: SimMs) {
-        let (arrival, served, conn, req) = {
-            let st = &self.states[i];
-            debug_assert!(!st.done, "reference resolved twice");
-            (st.arrival_vms, st.served, st.conn, st.req)
+            // The requester and every coalesced waiter fail now; the
+            // file stays re-missable.
+            self.disk.abandon(r, failed_vms);
+            Frame::RecallAbandon { job }
         };
-        let fb = first_byte_vms.max(arrival);
-        self.states[i].done = true;
-        let wait_vms = fb - arrival;
-        if served == ServedKind::Recall {
-            // The feedback loop closes here, exactly like the engine: a
-            // measured recall wait updates the estimate future victim
-            // rankings will see.
-            let st = self.states[i];
-            self.feedback
-                .record(st.device, st.size, wait_vms as f64 / MS as f64);
-        }
-        if self.states[i].write {
-            self.acked_writes += 1;
-            self.acked_write_bytes += self.states[i].size;
-        }
-        self.send(
-            conn,
-            Frame::Done {
-                req,
-                wait_vms,
-                served,
-            },
-        );
+        verdict
+            .write_to(&mut self.origin_w)
+            .and_then(|()| self.origin_w.flush().map_err(ProtoError::from))
+            .map_err(|e| format!("retry verdict: {e}"))
     }
 
     /// Graceful shutdown: stop admitting, drain every in-flight recall
@@ -983,8 +659,7 @@ impl Core<'_> {
     fn drain(&mut self) -> Result<Frame, String> {
         self.draining = true;
         self.advance_to(DRAIN_HORIZON_VMS)?;
-        debug_assert!(self.recall_tbl.is_empty(), "recalls survived the drain");
-        debug_assert!(self.flush_tbl.is_empty(), "flushes survived the drain");
+        debug_assert!(self.jobs.is_empty(), "tape jobs survived the drain");
         if self.origin_report.is_none() {
             Frame::Drain
                 .write_to(&mut self.origin_w)
@@ -996,8 +671,7 @@ impl Core<'_> {
                     outage_wait_vms,
                     slow_transfers,
                     flushed_bytes,
-                    recalls_completed: _,
-                    read_failures: _,
+                    ..
                 }) => {
                     debug_assert_eq!(
                         flushed_bytes, self.origin_flushed_bytes,
@@ -1013,20 +687,22 @@ impl Core<'_> {
                 Err(e) => return Err(format!("origin drain read: {e}")),
             }
         }
+        let counts = self.disk.counts();
         Ok(Frame::DrainDone {
             acked_writes: self.acked_writes,
             acked_write_bytes: self.acked_write_bytes,
-            flush_jobs: self.flush_jobs,
-            flush_bytes: self.flush_bytes,
+            flush_jobs: counts.flush_jobs,
+            flush_bytes: counts.flush_bytes,
             origin_flushed_bytes: self.origin_flushed_bytes,
         })
     }
 
     fn stats(&self) -> ServiceStats {
-        let cs = self.cache.stats();
+        let cs = self.disk.cache().stats();
+        let counts = self.disk.counts();
         let rep = self.origin_report.unwrap_or_default();
         ServiceStats {
-            requests: self.requests,
+            requests: self.disk.refs().len() as u64,
             read_hits: cs.read_hits,
             read_misses: cs.read_misses,
             read_hit_bytes: cs.read_hit_bytes,
@@ -1037,11 +713,11 @@ impl Core<'_> {
             stall_bytes: cs.stall_bytes,
             purge_flush_bytes: cs.purge_flush_bytes,
             writeback_bytes: cs.writeback_bytes,
-            fetch_retries: self.cache.fetch_retries(),
-            recalls: self.recalls,
-            delayed_hits: self.delayed_hits,
-            flush_jobs: self.flush_jobs,
-            flush_bytes: self.flush_bytes,
+            fetch_retries: self.disk.cache().fetch_retries(),
+            recalls: counts.recalls,
+            delayed_hits: counts.delayed_hits,
+            flush_jobs: counts.flush_jobs,
+            flush_bytes: counts.flush_bytes,
             abandoned: self.abandoned,
             outage_events: rep.outage_events,
             outage_wait_vms: rep.outage_wait_vms,

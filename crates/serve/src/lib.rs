@@ -1,12 +1,14 @@
 //! Live HSM cache service: the closed-loop hierarchy engine split into
 //! three cooperating processes that talk a hand-rolled TCP protocol.
 //!
-//! * **`fmig-served`** ([`daemon`]) — the cache daemon. It owns a
-//!   policy-driven sharded disk cache plus the *disk half* of the device
-//!   model (MSCP dispatch, spindles, channel movers) and schedules every
-//!   miss as a recall against the origin. Its robustness core wraps each
-//!   recall in a deadline, a jittered-exponential-backoff retry budget
-//!   ([`backoff`]), and an origin circuit breaker ([`breaker`]).
+//! * **`fmig-served`** ([`daemon`]) — the cache daemon. It hosts
+//!   [`fmig_sim::disk`], the one disk-side core (the policy-driven
+//!   cache, recall coalescing, MSCP dispatch, spindles, channel movers,
+//!   stall-flush gates) that the closed-loop simulator hosts too, and
+//!   sends every recall and flush to the origin. Its robustness core
+//!   wraps each recall in a deadline, a jittered-exponential-backoff
+//!   retry budget ([`backoff`]), and an origin circuit breaker
+//!   ([`breaker`]).
 //! * **`fmig-origin`** ([`origin`]) — the "tape" server. It hosts
 //!   [`fmig_sim::tape`], the one tape-path engine (drives, robot arms,
 //!   operators, seeks, cartridge appends, unloads) that the simulators
@@ -24,7 +26,8 @@
 //! delay is a keyed draw from [`fmig_sim::noise`] — a pure function of
 //! (seed, job identity, stage). A live replay of a trace therefore
 //! reproduces the counter-noise simulator **exactly**: the same cache
-//! decisions, retry and outage counters, and read-wait distribution,
+//! decisions, every reference's outcome and wait, retry and outage
+//! counters, and read-wait distribution,
 //! which is what lets `repro service-smoke` assert measured p99 equal
 //! to the simulator's prediction in both healthy and degraded-peak
 //! runs. See

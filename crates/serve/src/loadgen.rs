@@ -139,6 +139,8 @@ pub struct LoadgenReport {
     pub rejected_draining: u64,
     /// Requests shed by the open circuit breaker.
     pub rejected_shedding: u64,
+    /// Requests refused as unrepresentable.
+    pub rejected_invalid: u64,
     /// Bytes behind the acknowledged writes.
     pub acked_write_bytes: u64,
     /// Wait histogram over every served read (hit + delayed + recall),
@@ -146,6 +148,8 @@ pub struct LoadgenReport {
     pub read_waits: LatencyHistogram,
     /// Wait histogram over acknowledged writes.
     pub write_waits: LatencyHistogram,
+    /// Every request's reply, in trace order.
+    pub replies: Vec<Reply>,
     /// The drain accounting, when `drain` was requested.
     pub drain: Option<DrainReport>,
     /// The daemon's final statistics, when `stats` was requested.
@@ -156,9 +160,17 @@ pub struct LoadgenReport {
     pub refs_per_sec: f64,
 }
 
-/// One reply, keyed by its global trace index for re-assembly.
-enum Outcome {
-    Served { wait_vms: i64, served: ServedKind },
+/// The daemon's answer to one request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reply {
+    /// A `Done` frame: how the request was served and its virtual wait.
+    Done {
+        /// How the request was served.
+        served: ServedKind,
+        /// Virtual milliseconds from arrival to first byte (or failure).
+        wait_vms: i64,
+    },
+    /// A `Rejected` frame.
     Rejected(RejectReason),
 }
 
@@ -188,6 +200,7 @@ impl LoadgenReport {
         push_u(&mut out, "failed", self.failed);
         push_u(&mut out, "rejected_draining", self.rejected_draining);
         push_u(&mut out, "rejected_shedding", self.rejected_shedding);
+        push_u(&mut out, "rejected_invalid", self.rejected_invalid);
         push_u(&mut out, "acked_write_bytes", self.acked_write_bytes);
         push_u(&mut out, "read_wait_count", self.read_waits.count());
         push_f(&mut out, "read_wait_mean_s", self.read_waits.mean());
@@ -274,7 +287,7 @@ fn worker(
     conn: u32,
     items: Vec<(u64, PreparedRef)>,
     barrier: Sender<()>,
-) -> Result<Vec<(u64, Outcome)>, String> {
+) -> Result<Vec<(u64, Reply)>, String> {
     let stream = connect(&addr)?;
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
@@ -318,8 +331,8 @@ fn worker(
                 req,
                 wait_vms,
                 served,
-            } => outcomes.push((req, Outcome::Served { wait_vms, served })),
-            Frame::Rejected { req, reason } => outcomes.push((req, Outcome::Rejected(reason))),
+            } => outcomes.push((req, Reply::Done { served, wait_vms })),
+            Frame::Rejected { req, reason } => outcomes.push((req, Reply::Rejected(reason))),
             Frame::Stats(_) => {
                 seen_stats = true;
                 // The daemon has admitted everything this connection
@@ -405,7 +418,7 @@ pub fn run(cfg: &LoadgenConfig, setup: &CellSetup) -> Result<LoadgenReport, Stri
         None
     };
 
-    let mut outcomes: Vec<(u64, Outcome)> = Vec::with_capacity(refs.len());
+    let mut outcomes: Vec<(u64, Reply)> = Vec::with_capacity(refs.len());
     for h in handles {
         let part = h
             .join()
@@ -433,9 +446,11 @@ pub fn run(cfg: &LoadgenConfig, setup: &CellSetup) -> Result<LoadgenReport, Stri
         failed: 0,
         rejected_draining: 0,
         rejected_shedding: 0,
+        rejected_invalid: 0,
         acked_write_bytes: 0,
         read_waits: LatencyHistogram::new(),
         write_waits: LatencyHistogram::new(),
+        replies: Vec::with_capacity(outcomes.len()),
         drain,
         stats,
         wall_s,
@@ -445,9 +460,10 @@ pub fn run(cfg: &LoadgenConfig, setup: &CellSetup) -> Result<LoadgenReport, Stri
             0.0
         },
     };
-    for (req, outcome) in outcomes {
-        match outcome {
-            Outcome::Served { wait_vms, served } => {
+    for (req, reply) in outcomes {
+        report.replies.push(reply);
+        match reply {
+            Reply::Done { served, wait_vms } => {
                 let wait_s = wait_vms as f64 / MS as f64;
                 match served {
                     ServedKind::Hit => {
@@ -470,8 +486,9 @@ pub fn run(cfg: &LoadgenConfig, setup: &CellSetup) -> Result<LoadgenReport, Stri
                     ServedKind::Failed => report.failed += 1,
                 }
             }
-            Outcome::Rejected(RejectReason::Draining) => report.rejected_draining += 1,
-            Outcome::Rejected(RejectReason::Shedding) => report.rejected_shedding += 1,
+            Reply::Rejected(RejectReason::Draining) => report.rejected_draining += 1,
+            Reply::Rejected(RejectReason::Shedding) => report.rejected_shedding += 1,
+            Reply::Rejected(RejectReason::Invalid) => report.rejected_invalid += 1,
         }
     }
     Ok(report)

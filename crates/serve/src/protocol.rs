@@ -28,7 +28,7 @@ use std::io::{self, Read, Write};
 use fmig_trace::DeviceClass;
 
 /// Protocol version; bumped on any wire-incompatible change.
-pub const PROTO_VERSION: u32 = 1;
+pub const PROTO_VERSION: u32 = 2;
 
 /// Hard cap on a frame's payload length, enforced before any
 /// allocation. Every real frame is under 200 bytes; the cap only exists
@@ -89,6 +89,9 @@ pub enum RejectReason {
     /// The origin circuit breaker is open and the degraded-mode queue
     /// bound is exhausted: load is shed instead of queued.
     Shedding,
+    /// The request names a file id or a time the daemon cannot
+    /// represent.
+    Invalid,
 }
 
 /// How a request was served, as reported to the load generator. Mirrors
@@ -462,6 +465,7 @@ fn reason_byte(r: RejectReason) -> u8 {
     match r {
         RejectReason::Draining => 0,
         RejectReason::Shedding => 1,
+        RejectReason::Invalid => 2,
     }
 }
 
@@ -469,6 +473,7 @@ fn reason_of(v: u8) -> Result<RejectReason, ProtoError> {
     match v {
         0 => Ok(RejectReason::Draining),
         1 => Ok(RejectReason::Shedding),
+        2 => Ok(RejectReason::Invalid),
         v => Err(ProtoError::BadDiscriminant("reason", v)),
     }
 }

@@ -24,10 +24,10 @@ fn frame_from(sel: u8, w: &[u64]) -> Frame {
         3 => ServedKind::Write,
         _ => ServedKind::Failed,
     };
-    let reason = if g(9) % 2 == 0 {
-        RejectReason::Draining
-    } else {
-        RejectReason::Shedding
+    let reason = match g(9) % 3 {
+        0 => RejectReason::Draining,
+        1 => RejectReason::Shedding,
+        _ => RejectReason::Invalid,
     };
     let stats = ServiceStats {
         requests: g(0),

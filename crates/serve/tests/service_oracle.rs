@@ -1,35 +1,39 @@
 //! In-process oracle contract: the daemon/origin split replaying the
 //! tiny-preset cell must reproduce the counter-noise hierarchy engine's
-//! cache decisions, wait distribution, and degraded-mode counters
-//! exactly — healthy and under degraded-peak chaos. This is the same contract
-//! `make service-smoke` enforces through the real binaries, kept in
-//! tier-1 so `cargo test` covers it without process spawning.
+//! cache decisions, every reference's outcome and wait, and the
+//! degraded-mode counters exactly — for every `tiny` policy, healthy
+//! and under degraded-peak chaos. This is the contract `make
+//! service-smoke` enforces through the real binaries, kept in tier-1 so
+//! `cargo test` covers it without process spawning.
 
 use std::net::TcpListener;
 use std::thread;
 
-use fmig_core::{FaultScenarioId, SweepConfig};
+use fmig_core::{FaultScenarioId, PolicyId, SweepConfig};
 use fmig_migrate::cache::CacheConfig;
 use fmig_serve::daemon::{self, DaemonConfig};
-use fmig_serve::loadgen::{self, LoadgenConfig};
+use fmig_serve::loadgen::{self, LoadgenConfig, Reply};
 use fmig_serve::origin;
+use fmig_serve::protocol::ServedKind;
 use fmig_sim::config::SimConfig;
-use fmig_sim::HierarchySimulator;
+use fmig_sim::{HierarchySimulator, ServedBy};
 
-fn replay(scenario: FaultScenarioId, connections: usize) {
+fn replay(policy_id: PolicyId, scenario: FaultScenarioId, connections: usize) {
     let setup = loadgen::tiny_cell(scenario);
 
-    let policy = SweepConfig::tiny().policies[0].build();
+    let policy = policy_id.build();
+    let mut outcomes = Vec::with_capacity(setup.refs.len());
     let oracle = HierarchySimulator::new(
         SimConfig::default()
             .with_seed(setup.seed)
             .with_counter_noise(true),
     )
-    .run_with_faults(
+    .run_streaming_with_faults(
         CacheConfig::with_capacity(setup.capacity),
         policy.as_ref(),
         &setup.refs,
         &scenario.plan(),
+        |o| outcomes.push(o),
     );
 
     let origin_listener = TcpListener::bind("127.0.0.1:0").expect("bind origin");
@@ -41,7 +45,7 @@ fn replay(scenario: FaultScenarioId, connections: usize) {
     let cfg = DaemonConfig::compat(
         origin_addr.to_string(),
         setup.capacity,
-        SweepConfig::tiny().policies[0],
+        policy_id,
         scenario,
         setup.seed,
         setup.span_start_vms,
@@ -113,6 +117,35 @@ fn replay(scenario: FaultScenarioId, connections: usize) {
     );
     assert_eq!(drain.acked_writes, c.writes, "every write acked");
 
+    // Every reference is served the way the oracle served it, after
+    // the same virtual wait.
+    assert_eq!(
+        report.replies.len(),
+        outcomes.len(),
+        "one reply per reference"
+    );
+    for (reply, want) in report.replies.iter().zip(&outcomes) {
+        let served = match want.served {
+            ServedBy::DiskHit => ServedKind::Hit,
+            ServedBy::DelayedHit => ServedKind::DelayedHit,
+            ServedBy::Recall => ServedKind::Recall,
+            ServedBy::DiskWrite => ServedKind::Write,
+        };
+        let Reply::Done {
+            served: got,
+            wait_vms,
+        } = *reply
+        else {
+            panic!("{policy_id:?} ref {}: {reply:?}", want.index);
+        };
+        assert_eq!(
+            (got, wait_vms as f64 / 1000.0),
+            (served, want.wait_s),
+            "{policy_id:?} {scenario:?} ref {}",
+            want.index
+        );
+    }
+
     // Wait distribution vs the oracle. Daemon and origin host the same
     // tape core as the oracle and the watermark protocol preserves event
     // causality, so the histograms agree to the bucket.
@@ -151,15 +184,19 @@ fn replay(scenario: FaultScenarioId, connections: usize) {
 
 #[test]
 fn healthy_replay_matches_the_simulator_oracle() {
-    replay(FaultScenarioId::None, 2);
+    for policy in SweepConfig::tiny().policies {
+        replay(policy, FaultScenarioId::None, 2);
+    }
 }
 
 #[test]
 fn degraded_peak_replay_matches_the_simulator_oracle() {
-    replay(FaultScenarioId::DegradedPeak, 2);
+    for policy in SweepConfig::tiny().policies {
+        replay(policy, FaultScenarioId::DegradedPeak, 2);
+    }
 }
 
 #[test]
 fn single_connection_replay_matches_too() {
-    replay(FaultScenarioId::None, 1);
+    replay(SweepConfig::tiny().policies[0], FaultScenarioId::None, 1);
 }

@@ -31,18 +31,15 @@
 //! additionally reporting device-model-derived wait distributions per
 //! policy.
 //!
-//! # Timing model
+//! # Two cores, one queue
 //!
-//! Foreground references pay a lognormal MSCP dispatch overhead, then:
-//! hits and writes queue on their file's spindle and a channel mover
-//! (plus the disk seek); misses dispatch a recall into the tape path,
-//! [`crate::tape`], which this engine hosts alongside its disk path.
-//! Delayed hits skip dispatch — they join an already-dispatched recall
-//! whose catalog work is done — and reach their first byte at
-//! `max(arrival, recall first byte)`, which bounds their wait by the
-//! wait of the miss that issued the fetch. In lazy write-back mode a
-//! reference whose admission forced a dirty **stall** eviction cannot
-//! start its disk service until that flush lands on tape.
+//! The engine is the disk core, [`crate::disk`], plus the tape core,
+//! [`crate::tape`], on one insertion-ordered event queue: the disk
+//! core's tape jobs enter the tape core, and the tape core's callbacks
+//! drive the disk core's recall and flush transitions. The live
+//! service runs the same two cores split over TCP.
+//!
+//! [`DiskCache`]: fmig_migrate::cache::DiskCache
 //!
 //! # Determinism
 //!
@@ -51,7 +48,7 @@
 //! equal seeds replay identically, which is what lets sweep reports
 //! stay byte-identical at any worker count.
 
-use fmig_migrate::cache::{CacheConfig, CacheOp, CacheStats, DiskCache, ReadResult};
+use fmig_migrate::cache::{CacheConfig, CacheStats};
 use fmig_migrate::eval::{
     DegradedOutcome, EvalConfig, LatencyOutcome, PolicyOutcome, PreparedRef, PreparedTrace,
 };
@@ -61,27 +58,15 @@ use fmig_trace::{DeviceClass, FileId};
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
+use crate::disk::{DiskCore, DiskEvent, DiskOut, TapeWork};
 use crate::event::{EventQueue, SimMs, MS};
 use crate::fault::{FaultPlan, FaultSchedule};
 use crate::metrics::{LatencyHistogram, Utilisation};
-use crate::noise::{Draws, Subject, STAGE_DISPATCH, STAGE_RATE};
-use crate::pool::Pool;
-use crate::tape::{TapeCore, TapeEvent, TapeHost, TapeJob, TapeTier};
+use crate::noise::Draws;
+use crate::tape::{TapeCore, TapeEvent, TapeHost, TapeJob};
 
+pub use crate::disk::ServedBy;
 pub use crate::fault::FAULT_HORIZON_SLACK_MS;
-
-/// How one reference reached its first byte in the closed loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ServedBy {
-    /// Read hit on fully resident data, served at disk latency.
-    DiskHit,
-    /// Read coalesced onto an outstanding tape recall (delayed hit).
-    DelayedHit,
-    /// Read miss served by its own tape recall.
-    Recall,
-    /// Write absorbed by the staging disk.
-    DiskWrite,
-}
 
 /// One reference's closed-loop outcome, handed to the streaming sink in
 /// arrival order.
@@ -103,7 +88,7 @@ pub struct RefOutcome {
 }
 
 /// Aggregate metrics of one closed-loop run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct HierarchyMetrics {
     /// References simulated.
     pub requests: u64,
@@ -158,26 +143,6 @@ pub struct HierarchyMetrics {
 }
 
 impl HierarchyMetrics {
-    fn new() -> Self {
-        HierarchyMetrics {
-            requests: 0,
-            delayed_hits: 0,
-            recalls: 0,
-            flush_jobs: 0,
-            flush_bytes: 0,
-            hit_wait: LatencyHistogram::new(),
-            delayed_hit_wait: LatencyHistogram::new(),
-            miss_wait: LatencyHistogram::new(),
-            write_wait: LatencyHistogram::new(),
-            flush_queue_wait: LatencyHistogram::new(),
-            utilisation: Utilisation::default(),
-            cache: CacheStats::default(),
-            latency_feedback: LatencyFeedback::new(),
-            fault: None,
-            cache_fetch_retries: 0,
-        }
-    }
-
     /// All read waits combined (hits, delayed hits, and misses).
     pub fn read_wait(&self) -> LatencyHistogram {
         let mut h = self.hit_wait.clone();
@@ -331,139 +296,74 @@ impl HierarchySimulator {
     }
 }
 
-/// Events of the closed-loop engine. `usize` payloads name references.
+/// Events of the closed-loop engine: both cores share one queue. The
+/// disk events are spelled out, which keeps an event two words wide.
 #[derive(Debug, Clone, Copy)]
 enum HEv {
-    /// MSCP overhead elapsed for a foreground reference.
+    /// [`DiskEvent::Dispatch`].
     Dispatch(usize),
-    /// A reference's disk transfer finished.
+    /// [`DiskEvent::DiskDone`].
     DiskDone(usize),
     /// A tape-path event.
     Tape(TapeEvent),
 }
 
-/// What a tape job does for the closed loop.
-#[derive(Debug, Clone, Copy)]
-enum TapeWork {
-    /// Tape recall for `file`, issued by reference `r`.
-    Recall { file: FileId, r: usize },
-    /// Background tape flush; `gated` is the reference stalled on it.
-    Flush { gated: Option<usize> },
-}
-
-/// Per-reference progress state.
-#[derive(Debug, Clone, Copy)]
-struct RefState {
-    arrival_ms: SimMs,
-    first_byte_ms: SimMs,
-    id: FileId,
-    size: u64,
-    write: bool,
-    served: ServedBy,
-    /// The file's tape tier.
-    tape: TapeTier,
-    done: bool,
-    /// Stall flushes that must land on tape before disk service starts.
-    gate: u32,
-    /// MSCP dispatch finished while gated; start when the gate clears.
-    ready: bool,
-    /// Counter-noise mode only: the recall sequence number assigned at
-    /// *arrival* for `Recall`-served references, so a distributed
-    /// replica that classifies in trace order assigns the same
-    /// identities. Legacy mode assigns at dispatch and ignores this.
-    recall_seq: u64,
-}
-
-impl RefState {
-    /// Disk for hits and writes, the recall's tape tier otherwise.
-    fn device(&self) -> DeviceClass {
-        match self.served {
-            ServedBy::DiskHit | ServedBy::DiskWrite => DeviceClass::Disk,
-            ServedBy::DelayedHit | ServedBy::Recall => self.tape.device(),
-        }
-    }
-}
-
-/// An in-flight recall that references may coalesce onto.
-#[derive(Debug, Default)]
-struct OutstandingRecall {
-    first_byte_ms: Option<SimMs>,
-    waiters: Vec<usize>,
-}
-
-struct Engine<'a, 'p> {
+struct Engine<'p> {
+    disk: DiskCore<'p, ()>,
     tape: TapeCore<TapeWork>,
-    host: Host<'a, 'p>,
+    host: Host,
 }
 
-/// Everything but the tape path: the cache, the MSCP, the disk path,
-/// and recall coalescing.
-struct Host<'a, 'p> {
-    cfg: &'a SimConfig,
-    cache: DiskCache<'p>,
-    draws: Draws,
+/// Everything but the two cores: the shared queue and draws, and the
+/// wait histograms.
+struct Host {
     queue: EventQueue<HEv>,
+    draws: Draws,
     /// The fault plan's backoff before a failed recall rejoins.
     retry_backoff_ms: SimMs,
-    states: Vec<RefState>,
-    /// Recalls in flight (only with coalescing on): a dense arena
-    /// indexed by [`FileId`], grown on demand — `Some` exactly while a
-    /// recall for that file is outstanding.
-    outstanding: Vec<Option<OutstandingRecall>>,
-    /// Each file's tape tier, from the trace's device annotations, in
-    /// the same [`FileId`]-indexed arena layout.
-    file_tape: Vec<Option<TapeTier>>,
-    /// Live miss-latency estimator: fed by every resolved recall,
-    /// consulted (via the cache's hint) before every reference.
-    feedback: LatencyFeedback,
-    /// Reusable buffer for cache side effects.
-    ops: Vec<CacheOp>,
-    /// Counter-noise mode: next arrival-order recall sequence number.
-    next_recall_seq: u64,
-    next_emit: usize,
-    spindles: Vec<Pool>,
-    movers: Pool,
     metrics: HierarchyMetrics,
     first_ms: SimMs,
     last_ms: SimMs,
 }
 
-impl<'a, 'p> Engine<'a, 'p> {
+/// The tape core's host: the shared host plus the disk core its
+/// callbacks drive.
+struct Wired<'e, 'p> {
+    disk: &'e mut DiskCore<'p, ()>,
+    host: &'e mut Host,
+}
+
+impl<'p> Engine<'p> {
     fn new(
-        cfg: &'a SimConfig,
+        cfg: &SimConfig,
         cache_cfg: CacheConfig,
         policy: &'p dyn MigrationPolicy,
         schedule: FaultSchedule,
     ) -> Self {
+        let mut disk = DiskCore::new(cfg, cache_cfg, policy);
         let mut host = Host {
-            cfg,
-            cache: DiskCache::new(cache_cfg, policy),
-            draws: Draws::new(cfg.seed, cfg.counter_noise),
             queue: EventQueue::new(),
+            draws: Draws::new(cfg.seed, cfg.counter_noise),
             retry_backoff_ms: schedule.retry_backoff_ms(),
-            states: Vec::new(),
-            outstanding: Vec::new(),
-            file_tape: Vec::new(),
-            feedback: LatencyFeedback::new(),
-            ops: Vec::new(),
-            next_recall_seq: 0,
-            next_emit: 0,
-            spindles: vec![Pool::new(1); cfg.disk_spindles.max(1)],
-            movers: Pool::new(cfg.movers),
-            metrics: HierarchyMetrics::new(),
+            metrics: HierarchyMetrics::default(),
             first_ms: SimMs::MAX,
             last_ms: SimMs::MIN,
         };
         // Fault windows become ordinary events in the same queue: an
         // inert schedule pushes nothing and the event stream is exactly
         // the fault-free engine's.
-        let tape = TapeCore::new(cfg, schedule, &mut host);
-        Engine { tape, host }
+        let wired = &mut Wired {
+            disk: &mut disk,
+            host: &mut host,
+        };
+        let tape = TapeCore::new(cfg, schedule, wired);
+        Engine { disk, tape, host }
     }
 
     fn run(mut self, refs: &[PreparedRef], mut sink: impl FnMut(RefOutcome)) -> HierarchyMetrics {
         let mut prev_ms = SimMs::MIN;
-        for (i, pr) in refs.iter().enumerate() {
+        let mut emitted = 0;
+        for pr in refs {
             let t_ms = pr.time * MS;
             assert!(t_ms >= prev_ms, "references must be sorted by time");
             prev_ms = t_ms;
@@ -472,355 +372,166 @@ impl<'a, 'p> Engine<'a, 'p> {
                 let (now, ev) = self.host.queue.pop().expect("peeked event");
                 self.handle(now, ev);
             }
-            self.arrive(i, pr, t_ms);
-            self.host.emit_finished(&mut sink);
+            self.disk.arrive(pr, (), &mut self.host.draws);
+            self.settle();
+            emitted = emit_finished(&self.disk, emitted, &mut sink);
         }
         while let Some((now, ev)) = self.host.queue.pop() {
             self.handle(now, ev);
         }
-        let Engine { tape, host: mut h } = self;
-        h.emit_finished(&mut sink);
-        debug_assert_eq!(h.next_emit, h.states.len());
+        let Engine {
+            disk,
+            tape,
+            host: mut h,
+        } = self;
+        emitted = emit_finished(&disk, emitted, &mut sink);
+        debug_assert_eq!(emitted, disk.refs().len());
 
         let m = &mut h.metrics;
-        m.requests = h.states.len() as u64;
-        m.cache = *h.cache.stats();
-        m.cache_fetch_retries = h.cache.fetch_retries();
-        m.latency_feedback = h.feedback;
+        let counts = disk.counts();
+        m.requests = disk.refs().len() as u64;
+        m.delayed_hits = counts.delayed_hits;
+        m.recalls = counts.recalls;
+        m.flush_jobs = counts.flush_jobs;
+        m.flush_bytes = counts.flush_bytes;
+        m.cache = *disk.cache().stats();
+        m.cache_fetch_retries = disk.cache().fetch_retries();
+        m.latency_feedback = disk.feedback().clone();
         m.fault = tape.schedule().is_active().then(|| tape.degraded());
         m.flush_queue_wait = tape.write_queue_wait().clone();
         let (start, end) = (h.first_ms.min(h.last_ms), h.last_ms.max(h.first_ms));
         m.utilisation = tape.utilisation(start, end);
-        m.utilisation.disk_spindles = h.spindles.iter().map(|p| p.utilisation(start, end)).sum();
-        m.utilisation.movers += h.movers.utilisation(start, end);
+        disk.path().add_utilisation(&mut m.utilisation, start, end);
         h.metrics
     }
 
-    /// Classifies one reference through the cache and turns its side
-    /// effects into device traffic.
-    fn arrive(&mut self, i: usize, pr: &PreparedRef, t_ms: SimMs) {
-        let h = &mut self.host;
-        // A file's archival tier: shelf files restage from the shelf,
-        // everything else (including files the trace saw on disk) lives
-        // in the silo.
-        let tape = TapeTier::of(pr.device).unwrap_or(TapeTier::Silo);
-        if pr.id.index() >= h.file_tape.len() {
-            h.file_tape.resize(pr.id.index() + 1, None);
-            h.outstanding.resize_with(h.file_tape.len(), || None);
-        }
-        h.file_tape[pr.id.index()] = Some(tape);
-        // Publish the current miss-wait estimate for this file's tier
-        // and size before the cache classifies the reference: the touch
-        // stamps it onto the entry, where latency-aware policies read
-        // it at the next purge. Latency-blind policies ignore the hint,
-        // which keeps their closed loop exactly equal to open loop.
-        h.cache
-            .set_est_miss_wait_s(h.feedback.estimate(tape.device(), pr.size));
-        let mut ops = std::mem::take(&mut h.ops);
-        ops.clear();
-        let served = if pr.write {
-            h.cache
-                .write_with(pr.id, pr.size, pr.time, pr.next_use, &mut |op| ops.push(op));
-            ServedBy::DiskWrite
-        } else {
-            match h
-                .cache
-                .read_with(pr.id, pr.size, pr.time, pr.next_use, &mut |op| ops.push(op))
-            {
-                ReadResult::Hit => ServedBy::DiskHit,
-                ReadResult::DelayedHit if h.cfg.recall_coalescing => ServedBy::DelayedHit,
-                // Coalescing off: a delayed hit pays its own fetch.
-                ReadResult::DelayedHit => ServedBy::Recall,
-                ReadResult::Miss
-                    if h.cfg.recall_coalescing && h.outstanding[pr.id.index()].is_some() =>
-                {
-                    // The file was evicted (or bypassed the cache) while
-                    // its recall is still in flight: the bytes are
-                    // already on the way, so the re-miss coalesces too.
-                    ServedBy::DelayedHit
-                }
-                ReadResult::Miss => ServedBy::Recall,
-            }
-        };
-        debug_assert_eq!(i, h.states.len());
-        // Counter-noise mode fixes the recall's identity here, in
-        // arrival order — classification order is what a distributed
-        // replica can reproduce; legacy dispatch order depends on the
-        // lognormal overhead draws.
-        let recall_seq = if h.cfg.counter_noise && served == ServedBy::Recall {
-            h.next_recall_seq += 1;
-            h.next_recall_seq - 1
-        } else {
-            0
-        };
-        h.states.push(RefState {
-            arrival_ms: t_ms,
-            first_byte_ms: t_ms,
-            id: pr.id,
-            size: pr.size,
-            write: pr.write,
-            served,
-            tape,
-            done: false,
-            gate: 0,
-            ready: false,
-            recall_seq,
-        });
-
-        // Cache side effects become tape traffic.
-        for &op in &ops {
-            match op {
-                CacheOp::Fetch { .. } | CacheOp::Drop { .. } => {}
-                CacheOp::Writeback { id, bytes } => {
-                    let at = t_ms + (self.host.cfg.writeback_delay_s * MS as f64) as SimMs;
-                    self.spawn_flush(id, bytes, None, at);
-                }
-                CacheOp::StallFlush { id, bytes } => {
-                    // Only disk-served foregrounds stall on the flush; a
-                    // miss's recall is the longer pole and proceeds.
-                    let gated = if served == ServedBy::DiskWrite || served == ServedBy::DiskHit {
-                        self.host.states[i].gate += 1;
-                        Some(i)
-                    } else {
-                        None
-                    };
-                    self.spawn_flush(id, bytes, gated, t_ms);
-                }
-                CacheOp::PurgeFlush { id, bytes } => {
-                    self.spawn_flush(id, bytes, None, t_ms);
-                }
-            }
-        }
-        let h = &mut self.host;
-        h.ops = ops;
-
-        match served {
-            ServedBy::DiskHit | ServedBy::DiskWrite | ServedBy::Recall => {
-                let d = h.draws.lognormal_ms(
-                    Subject::Ref(i as u64),
-                    STAGE_DISPATCH,
-                    h.cfg.mscp_overhead_median_s,
-                    h.cfg.mscp_overhead_sigma,
-                );
-                h.queue.push(t_ms + d, HEv::Dispatch(i));
-                if served == ServedBy::Recall && h.cfg.recall_coalescing {
-                    h.outstanding[pr.id.index()] = Some(OutstandingRecall::default());
-                }
-            }
-            ServedBy::DelayedHit => {
-                h.metrics.delayed_hits += 1;
-                let o = h.outstanding[pr.id.index()]
-                    .as_mut()
-                    .expect("delayed hit implies an outstanding recall");
-                match o.first_byte_ms {
-                    // Data already streaming to disk: served on arrival.
-                    Some(fb) => h.resolve_ref(i, fb),
-                    None => o.waiters.push(i),
-                }
-            }
-        }
-    }
-
-    /// Creates a background tape-flush job, queued for a drive at `at`.
-    fn spawn_flush(&mut self, file: FileId, bytes: u64, gated: Option<usize>, at: SimMs) {
-        let h = &mut self.host;
-        let tier = h
-            .file_tape
-            .get(file.index())
-            .copied()
-            .flatten()
-            .unwrap_or(TapeTier::Silo);
-        // Spawn order is classification order, which both the legacy
-        // engine and a trace-order replica agree on.
-        let seq = h.metrics.flush_jobs;
-        h.metrics.flush_jobs += 1;
-        h.metrics.flush_bytes += bytes;
-        let job = TapeJob::new(TapeWork::Flush { gated }, tier, true, bytes, seq);
-        self.tape.admit_at(job, at, h);
-    }
-
     fn handle(&mut self, now: SimMs, ev: HEv) {
-        let h = &mut self.host;
-        h.last_ms = h.last_ms.max(now);
-        match ev {
-            HEv::Dispatch(r) => self.dispatched(r, now),
-            HEv::DiskDone(r) => h.disk_done(r, now),
-            HEv::Tape(ev) => self.tape.handle(now, ev, h),
-        }
+        self.host.last_ms = self.host.last_ms.max(now);
+        let ev = match ev {
+            HEv::Dispatch(r) => DiskEvent::Dispatch(r),
+            HEv::DiskDone(r) => DiskEvent::DiskDone(r),
+            HEv::Tape(ev) => {
+                let wired = &mut Wired {
+                    disk: &mut self.disk,
+                    host: &mut self.host,
+                };
+                return self.tape.handle(now, ev, wired);
+            }
+        };
+        self.disk.handle(now, ev, &mut self.host.draws);
+        self.settle();
     }
 
-    /// MSCP work done: start disk service or issue the recall.
-    fn dispatched(&mut self, r: usize, now: SimMs) {
-        let h = &mut self.host;
-        let st = h.states[r];
-        match st.served {
-            ServedBy::DiskHit | ServedBy::DiskWrite => {
-                h.states[r].ready = true;
-                if st.gate == 0 {
-                    h.start_disk(r, now);
+    /// Carries out the disk core's outbox; its tape jobs enter the tape
+    /// core.
+    fn settle(&mut self) {
+        while let Some(out) = self.disk.pop_out() {
+            let DiskOut::Tape(job, at) = out else {
+                self.host.apply(out, &self.disk);
+                continue;
+            };
+            let wired = &mut Wired {
+                disk: &mut self.disk,
+                host: &mut self.host,
+            };
+            if job.write {
+                self.tape.admit_at(*job, at, wired);
+            } else {
+                self.tape.admit(*job, at, wired);
+            }
+        }
+    }
+}
+
+/// Hands every resolved reference from index `next` on to `sink`, in
+/// arrival order; returns the next index to emit.
+fn emit_finished(
+    disk: &DiskCore<'_, ()>,
+    mut next: usize,
+    sink: &mut impl FnMut(RefOutcome),
+) -> usize {
+    while let Some(rf) = disk.refs().get(next).filter(|rf| rf.done()) {
+        sink(RefOutcome {
+            index: next,
+            id: rf.id,
+            write: rf.write,
+            served: rf.served,
+            device: rf.device(),
+            wait_s: rf.wait_ms() as f64 / MS as f64,
+        });
+        next += 1;
+    }
+    next
+}
+
+impl Host {
+    /// Carries out one disk-core request other than tape work.
+    fn apply(&mut self, out: DiskOut, disk: &DiskCore<'_, ()>) {
+        match out {
+            DiskOut::Schedule(at, DiskEvent::Dispatch(r)) => self.queue.push(at, HEv::Dispatch(r)),
+            DiskOut::Schedule(at, DiskEvent::DiskDone(r)) => self.queue.push(at, HEv::DiskDone(r)),
+            DiskOut::Resolved(r) => {
+                let rf = &disk.refs()[r];
+                let wait_s = rf.wait_ms() as f64 / MS as f64;
+                let m = &mut self.metrics;
+                match rf.served {
+                    ServedBy::DiskHit => m.hit_wait.record(wait_s),
+                    ServedBy::DelayedHit => m.delayed_hit_wait.record(wait_s),
+                    ServedBy::Recall => m.miss_wait.record(wait_s),
+                    ServedBy::DiskWrite => m.write_wait.record(wait_s),
                 }
             }
-            ServedBy::Recall => {
-                // The issue-order sequence number keys the fault
-                // schedule's counter-based read-error decisions.
-                // Counter-noise mode pinned it at arrival; legacy issues
-                // it here, in dispatch order.
-                let seq = if h.cfg.counter_noise {
-                    st.recall_seq
-                } else {
-                    h.metrics.recalls
-                };
-                h.metrics.recalls += 1;
-                let work = TapeWork::Recall { file: st.id, r };
-                let job = TapeJob::new(work, st.tape, false, st.size, seq);
-                self.tape.admit(job, now, h);
-            }
-            ServedBy::DelayedHit => unreachable!("delayed hits are never dispatched"),
+            // Recalls issue at dispatch and flushes at arrival, never
+            // from a tape callback.
+            DiskOut::Tape(..) => unreachable!("tape work from inside the tape core"),
         }
     }
 }
 
-impl Host<'_, '_> {
-    /// Emits every resolved reference, in arrival order.
-    fn emit_finished(&mut self, sink: &mut impl FnMut(RefOutcome)) {
-        while self.next_emit < self.states.len() && self.states[self.next_emit].done {
-            let st = self.states[self.next_emit];
-            sink(RefOutcome {
-                index: self.next_emit,
-                id: st.id,
-                write: st.write,
-                served: st.served,
-                device: st.device(),
-                wait_s: (st.first_byte_ms - st.arrival_ms).max(0) as f64 / MS as f64,
-            });
-            self.next_emit += 1;
-        }
-    }
-
-    /// Foreground disk service: queue on the file's spindle.
-    fn start_disk(&mut self, r: usize, now: SimMs) {
-        let spindle = self.states[r].id.index() % self.spindles.len();
-        if self.spindles[spindle].acquire(r, now) {
-            self.spindle_granted(r, now);
-        }
-    }
-
-    /// Spindle held: contend for a channel mover.
-    fn spindle_granted(&mut self, r: usize, now: SimMs) {
-        if self.movers.acquire(r, now) {
-            self.disk_transfer(r, now);
-        }
-    }
-
-    /// Mover held: the first byte follows the disk seek.
-    fn disk_transfer(&mut self, r: usize, now: SimMs) {
-        let first_byte = now + (self.cfg.disk_seek_s * MS as f64) as SimMs;
-        self.resolve_ref(r, first_byte);
-        let jitter = 1.0
-            + self.draws.range(
-                Subject::Disk(r as u64),
-                STAGE_RATE,
-                -self.cfg.rate_jitter,
-                self.cfg.rate_jitter,
-            );
-        let size = self.states[r].size;
-        let xfer_ms = (size as f64 / (self.cfg.disk_rate * jitter) * 1000.0) as SimMs;
-        self.queue
-            .push(first_byte + xfer_ms.max(1), HEv::DiskDone(r));
-    }
-
-    /// Disk transfer complete: release the mover, then the spindle.
-    fn disk_done(&mut self, r: usize, now: SimMs) {
-        if let Some(n) = self.movers.release(now) {
-            self.disk_transfer(n, now);
-        }
-        let spindle = self.states[r].id.index() % self.spindles.len();
-        if let Some(n) = self.spindles[spindle].release(now) {
-            self.spindle_granted(n, now);
-        }
-    }
-
-    /// Finalizes a reference's first byte and records its wait.
-    fn resolve_ref(&mut self, i: usize, first_byte_ms: SimMs) {
-        let st = &mut self.states[i];
-        debug_assert!(!st.done, "reference resolved twice");
-        let fb = first_byte_ms.max(st.arrival_ms);
-        st.first_byte_ms = fb;
-        st.done = true;
-        let wait_s = (fb - st.arrival_ms) as f64 / MS as f64;
-        match st.served {
-            ServedBy::DiskHit => self.metrics.hit_wait.record(wait_s),
-            ServedBy::DelayedHit => self.metrics.delayed_hit_wait.record(wait_s),
-            ServedBy::Recall => {
-                self.metrics.miss_wait.record(wait_s);
-                // The feedback loop closes here: a measured recall wait
-                // (retries, outages, and queueing included) updates the
-                // estimate future victim rankings will see.
-                self.feedback.record(st.tape.device(), st.size, wait_s);
-            }
-            ServedBy::DiskWrite => self.metrics.write_wait.record(wait_s),
+impl Wired<'_, '_> {
+    /// Carries out the outbox of a disk-core call made from a tape
+    /// callback, before the tape core goes on.
+    fn settle(&mut self) {
+        while let Some(out) = self.disk.pop_out() {
+            self.host.apply(out, self.disk);
         }
     }
 }
 
-impl TapeHost<TapeWork> for Host<'_, '_> {
+impl TapeHost<TapeWork> for Wired<'_, '_> {
     fn schedule(&mut self, at: SimMs, ev: TapeEvent) {
-        self.queue.push(at, HEv::Tape(ev));
+        self.host.queue.push(at, HEv::Tape(ev));
     }
 
     fn draws(&mut self) -> &mut Draws {
-        &mut self.draws
+        &mut self.host.draws
     }
 
-    /// A recall's first byte serves its issuer and every coalesced
-    /// waiter.
     fn first_byte(&mut self, job: &TapeJob<TapeWork>, at: SimMs) {
-        let TapeWork::Recall { file, r } = job.payload else {
-            return;
-        };
-        self.resolve_ref(r, at);
-        if let Some(o) = self.outstanding[file.index()].as_mut() {
-            o.first_byte_ms = Some(at);
-            for w in std::mem::take(&mut o.waiters) {
-                self.resolve_ref(w, at);
-            }
+        if let TapeWork::Recall(r) = job.payload {
+            self.disk.recall_first_byte(r, at);
+            self.settle();
         }
     }
 
     fn transfer_end(&mut self, job: &TapeJob<TapeWork>, at: SimMs) {
-        match job.payload {
-            TapeWork::Recall { file, .. } => {
-                // The file is fully staged: further reads are plain hits.
-                self.cache.fetch_complete(file);
-                if let Some(o) = self.outstanding[file.index()].take() {
-                    debug_assert!(o.waiters.is_empty(), "waiters resolve at first byte");
-                }
-            }
-            TapeWork::Flush { gated: Some(r) } => {
-                let st = &mut self.states[r];
-                st.gate -= 1;
-                if st.gate == 0 && st.ready {
-                    self.start_disk(r, at);
-                }
-            }
-            TapeWork::Flush { gated: None } => {}
-        }
+        self.disk.tape_done(job.payload, at, &mut self.host.draws);
+        self.settle();
     }
 
-    /// Media read error: the bytes on disk are garbage. Re-arm the
-    /// cache's outstanding-fetch state (reads keep coalescing) and
-    /// rejoin the drive queue after the plan's backoff; waiters parked
-    /// on the outstanding recall ride along to the retry.
+    /// Media read error: the bytes on disk are garbage. The recall
+    /// rejoins its drive queue after the plan's backoff; waiters ride
+    /// along to the retry.
     fn failed(
         &mut self,
         job: &TapeJob<TapeWork>,
         _at: SimMs,
         drive_free_ms: SimMs,
     ) -> Option<SimMs> {
-        if let TapeWork::Recall { file, .. } = job.payload {
-            self.cache.fetch_failed(file);
+        if let TapeWork::Recall(r) = job.payload {
+            self.disk.recall_failed(r);
         }
-        Some(drive_free_ms + self.retry_backoff_ms)
+        Some(drive_free_ms + self.host.retry_backoff_ms)
     }
 }
 

@@ -12,13 +12,17 @@
 //! Figure 3 (per-device latency CDFs) and the Table 3 latency rows, and
 //! supports the §6 ablations (write-behind, dividing point).
 //!
+//! The device model has one disk core and one tape core, both sans-IO.
 //! The tape path — drives, robot arms or operators, seeks, tape movers,
-//! cartridge appends, unloads, and fault-schedule outages — has exactly
-//! one implementation, the sans-IO [`TapeCore`] in [`tape`]. It has
-//! three hosts: the open-loop [`MssSimulator`], the closed-loop
-//! [`HierarchySimulator`], and the live service's `fmig-origin`. Each
-//! host supplies the event queue, the stage-timing [`noise::Draws`], and
-//! callbacks at first byte, transfer end, and failed attempts.
+//! cartridge appends, unloads, and fault-schedule outages — is
+//! [`TapeCore`] in [`tape`]. The disk side — the cache decision, recall
+//! coalescing, MSCP dispatch, spindles and movers, and write-back
+//! flushes — is [`DiskCore`] in [`disk`], with its spindles and movers
+//! in [`DiskPath`]. The closed-loop [`HierarchySimulator`] hosts both on
+//! one queue; the live service's `fmig-served` hosts the disk core and
+//! `fmig-origin` the tape core; the open-loop [`MssSimulator`] hosts the
+//! tape core and the disk path. Each host supplies its event queue and
+//! its stage-timing [`noise::Draws`].
 //!
 //! # Examples
 //!
@@ -42,6 +46,7 @@
 
 pub mod config;
 pub mod cutthrough;
+pub mod disk;
 pub mod event;
 pub mod fault;
 pub mod hierarchy;
@@ -54,6 +59,7 @@ pub mod tape;
 
 pub use config::SimConfig;
 pub use cutthrough::{CutThroughModel, CutThroughReport};
+pub use disk::{DiskCore, DiskPath};
 pub use event::{EventQueue, SimMs};
 pub use fault::{FaultPlan, FaultSchedule, FaultTarget, OutageClause, SlowDriveClause};
 pub use hierarchy::{HierarchyMetrics, HierarchySimulator, RefOutcome, ServedBy};

@@ -49,15 +49,9 @@ const TAG_DISK: u64 = 0x4453_4B4A; // "DSKJ"
 const TAG_RECALL: u64 = 0x5243_4C4A; // "RCLJ"
 const TAG_FLUSH: u64 = 0x464C_534A; // "FLSJ"
 
-/// Key of a foreground reference's dispatch-overhead draw, addressed
-/// by the reference's index in the trace.
-pub fn dispatch_key(ref_index: u64) -> u64 {
-    seed_mix(seed_mix(TAG_REF, ref_index), STAGE_DISPATCH)
-}
-
 /// Key of a disk job's draw at `stage`, addressed by the reference it
 /// serves (disk jobs are one per foreground reference).
-pub fn disk_key(ref_index: u64, stage: u64) -> u64 {
+fn disk_key(ref_index: u64, stage: u64) -> u64 {
     seed_mix(seed_mix(TAG_DISK, ref_index), stage)
 }
 
@@ -164,7 +158,7 @@ pub fn uniform(seed: u64, key: u64) -> f64 {
 }
 
 /// A uniform draw in `[lo, hi)`.
-pub fn range(seed: u64, key: u64, lo: f64, hi: f64) -> f64 {
+fn range(seed: u64, key: u64, lo: f64, hi: f64) -> f64 {
     lo + uniform(seed, key) * (hi - lo)
 }
 
@@ -178,12 +172,6 @@ pub fn normal(seed: u64, key: u64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (TAU * u2).cos()
 }
 
-/// A keyed lognormal delay in milliseconds: `median · e^(σ·z)`,
-/// truncated exactly as [`Draws::lognormal_ms`].
-pub fn lognormal_ms(seed: u64, key: u64, median_s: f64, sigma: f64) -> SimMs {
-    ((median_s * (sigma * normal(seed, key)).exp()) * MS as f64) as SimMs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,7 +181,9 @@ mod tests {
         let k = recall_key(7, 1, STAGE_MOUNT);
         assert_eq!(uniform(42, k), uniform(42, k));
         assert_eq!(normal(42, k), normal(42, k));
-        assert_eq!(lognormal_ms(42, k, 2.0, 1.2), lognormal_ms(42, k, 2.0, 1.2));
+        let who = Subject::Recall { seq: 7, attempt: 1 };
+        let lognormal = || Draws::Keyed(42).lognormal_ms(who, STAGE_MOUNT, 2.0, 1.2);
+        assert_eq!(lognormal(), lognormal());
         assert_ne!(uniform(42, k), uniform(43, k));
         assert_ne!(
             uniform(42, recall_key(7, 1, STAGE_MOUNT)),

@@ -21,20 +21,21 @@
 //! and transfer time and aggregates Figure 3 latency histograms.
 //!
 //! Stages 2–5 of tape requests run in [`crate::tape`], the tape-path
-//! engine the closed-loop engine and the live origin host too; this
-//! module hosts it with its shared RNG and keeps the MSCP and the disk
-//! path.
+//! engine the closed-loop engine and the live origin host too; disk
+//! requests run on [`crate::disk::DiskPath`], the disk hardware the
+//! closed loop and the live daemon use. This module hosts both with its
+//! shared RNG and keeps the MSCP.
 
 use std::collections::VecDeque;
 
 use fmig_trace::{DeviceClass, Direction, TraceRecord};
 
 use crate::config::SimConfig;
+use crate::disk::DiskPath;
 use crate::event::{EventQueue, SimMs, MS};
 use crate::fault::FaultSchedule;
 use crate::metrics::Metrics;
-use crate::noise::{Draws, Subject, STAGE_DISPATCH, STAGE_RATE};
-use crate::pool::Pool;
+use crate::noise::{Draws, Subject, STAGE_DISPATCH};
 use crate::tape::{TapeCore, TapeEvent, TapeHost, TapeJob, TapeTier};
 
 /// A finished simulation: the annotated trace plus aggregate metrics.
@@ -140,8 +141,7 @@ struct Host<'a> {
     pending: VecDeque<TraceRecord>,
     /// Next request index to hand to the sink.
     next_emit: usize,
-    spindles: Vec<Pool>,
-    movers: Pool,
+    disk: DiskPath,
     metrics: Metrics,
     first_ms: SimMs,
     last_ms: SimMs,
@@ -157,8 +157,7 @@ impl<'a> Engine<'a> {
             done: Vec::new(),
             pending: VecDeque::new(),
             next_emit: 0,
-            spindles: vec![Pool::new(1); cfg.disk_spindles.max(1)],
-            movers: Pool::new(cfg.movers),
+            disk: DiskPath::new(cfg),
             metrics: Metrics::new(),
             first_ms: SimMs::MAX,
             last_ms: SimMs::MIN,
@@ -198,8 +197,7 @@ impl<'a> Engine<'a> {
         let (start, end) = (h.first_ms, h.last_ms.max(h.first_ms));
         let u = &mut h.metrics.utilisation;
         *u = tape.utilisation(start, end);
-        u.disk_spindles = h.spindles.iter().map(|p| p.utilisation(start, end)).sum();
-        u.movers += h.movers.utilisation(start, end);
+        h.disk.add_utilisation(u, start, end);
         h.metrics
     }
 
@@ -212,8 +210,8 @@ impl<'a> Engine<'a> {
                 let req = h.reqs[r];
                 match TapeTier::of(req.device) {
                     None => {
-                        if h.spindles[req.spindle].acquire(r, now) {
-                            h.spindle_granted(r, now);
+                        if h.disk.start(r, req.spindle, now) {
+                            h.disk_transfer(r, now);
                         }
                     }
                     Some(tier) => {
@@ -223,7 +221,11 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            Ev::DiskDone(r) => h.disk_done(r, now),
+            Ev::DiskDone(r) => {
+                for n in h.disk.finish(h.reqs[r].spindle, now).into_iter().flatten() {
+                    h.disk_transfer(n, now);
+                }
+            }
             Ev::ErrorDone(r) => {
                 h.reqs[r].first_byte_ms = now;
                 h.done[r] = true;
@@ -273,7 +275,7 @@ impl Host<'_> {
                     .rsplit_once('/')
                     .map_or(&rec.mss_path, |(d, _)| d),
             ) as usize
-                % self.spindles.len(),
+                % self.disk.spindles(),
             first_byte_ms: t_ms,
         });
         self.done.push(false);
@@ -295,37 +297,13 @@ impl Host<'_> {
         }
     }
 
-    /// Spindle held: contend for a channel mover.
-    fn spindle_granted(&mut self, r: usize, now: SimMs) {
-        if self.movers.acquire(r, now) {
-            self.disk_transfer(r, now);
-        }
-    }
-
-    /// Mover held: the first byte follows the disk seek.
+    /// Spindle and mover held: the first byte follows the disk seek.
     fn disk_transfer(&mut self, r: usize, now: SimMs) {
-        let first_byte = now + (self.cfg.disk_seek_s * MS as f64) as SimMs;
+        let (first_byte, end) = self
+            .disk
+            .transfer(r, self.reqs[r].size, now, &mut self.draws);
         self.reach_first_byte(r, first_byte);
-        let jitter = 1.0
-            + self.draws.range(
-                Subject::Disk(r as u64),
-                STAGE_RATE,
-                -self.cfg.rate_jitter,
-                self.cfg.rate_jitter,
-            );
-        let xfer_ms = (self.reqs[r].size as f64 / (self.cfg.disk_rate * jitter) * 1000.0) as SimMs;
-        self.queue
-            .push(first_byte + xfer_ms.max(1), Ev::DiskDone(r));
-    }
-
-    /// Disk transfer complete: release the mover, then the spindle.
-    fn disk_done(&mut self, r: usize, now: SimMs) {
-        if let Some(n) = self.movers.release(now) {
-            self.disk_transfer(n, now);
-        }
-        if let Some(n) = self.spindles[self.reqs[r].spindle].release(now) {
-            self.spindle_granted(n, now);
-        }
+        self.queue.push(end, Ev::DiskDone(r));
     }
 
     /// The transfer begins — this is "the first byte". The request's
